@@ -20,9 +20,10 @@ test:
 
 # The instrumentation layer (obs histograms/tracers, client/replica counters,
 # netsim stats epochs) is lock-free or lock-cheap by design; keep it honest
-# under the race detector. These are the packages with real concurrency.
+# under the race detector. These are the packages with real concurrency
+# (examples/byzantine shares one core.Liar across a replica's sends).
 race:
-	$(GO) test -race ./internal/obs/... ./internal/core/... ./internal/netsim/... ./internal/tcpnet/... ./internal/chaos/... ./internal/nemesis/... ./internal/wire/... ./internal/shard/... ./internal/health/... ./internal/experiments/... ./internal/quorum/... ./internal/failure/... ./internal/prof/...
+	$(GO) test -race ./internal/obs/... ./internal/core/... ./internal/netsim/... ./internal/tcpnet/... ./internal/chaos/... ./internal/nemesis/... ./internal/wire/... ./internal/shard/... ./internal/health/... ./internal/experiments/... ./internal/quorum/... ./internal/failure/... ./internal/prof/... ./examples/byzantine/...
 
 vet:
 	$(GO) vet ./...

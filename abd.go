@@ -106,11 +106,6 @@ func DefaultReadMode() ReadMode { return core.DefaultReadMode() }
 // (e.g. a fast path without write-backs) are rejected by NewClient.
 func WithReadMode(m ReadMode) ClientOption { return core.WithReadMode(m) }
 
-// WithFastRead enables the confirmed-tag watermark fast path explicitly
-// (it is on by default): reads complete in one round trip when the newest
-// observed tag is already known quorum-durable.
-func WithFastRead() ClientOption { return core.WithFastRead() }
-
 // WithoutFastRead disables the fast path, restoring the paper's
 // unconditional two-phase read.
 func WithoutFastRead() ClientOption { return core.WithoutFastRead() }
@@ -121,7 +116,7 @@ func WithoutFastRead() ClientOption { return core.WithoutFastRead() }
 // quorums (n >= 4f+1 required) and adopts a (timestamp, value) pair only
 // when at least f+1 replicas report it identically; a pair claiming to be
 // ahead of the vouched state gets one confirm round before it is discarded
-// as a lie (the ByzRejects counter the health layer exports as
+// as a suspected lie (the ByzRejects counter the health layer exports as
 // abd_health_byz_suspect_rejects_total). f = 0 is the plain crash-fault
 // client unchanged. See internal/core.WithByzantine for the full contract.
 func WithByzantine(f int) ClientOption { return core.WithByzantine(f) }

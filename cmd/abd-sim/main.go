@@ -13,7 +13,9 @@
 // (crashed) and the run continues — exactly how the model treats them.
 //
 // With -byz F the run becomes a Byzantine scenario: the last F replicas
-// actively fabricate max-tags on every read query, every client validates
+// lie — each is an honest replica on a chaos-wrapped endpoint whose read
+// replies a core.Liar rewrites into fabricated max-tags (the same
+// adversary the nemesis mode uses) — every client validates
 // reads with WithByzantine(F) (masking quorums, f+1 vouching; requires
 // n >= 4F+1), the linearizability check is forced on, and the per-register
 // verdicts plus the suspected-liar counters are printed:
@@ -52,6 +54,7 @@ import (
 	"sync"
 	"time"
 
+	"repro/internal/chaos"
 	"repro/internal/core"
 	"repro/internal/failure"
 	"repro/internal/history"
@@ -59,6 +62,7 @@ import (
 	"repro/internal/nemesis"
 	"repro/internal/netsim"
 	"repro/internal/obs"
+	"repro/internal/transport"
 	"repro/internal/types"
 )
 
@@ -137,20 +141,22 @@ func run() int {
 
 	net := netsim.New(netsim.Config{Seed: *seed, MinDelay: *minDelay, MaxDelay: *maxDelay})
 	defer net.Close()
+	liars := chaos.New(*seed)
 	ids := make([]types.NodeID, *n)
 	for i := 0; i < *n; i++ {
 		ids[i] = types.NodeID(i)
-		// The last -byz replicas are the lying minority: they fabricate an
-		// enormous max-tag on every read query — the strongest attack on a
-		// max-timestamp read protocol.
+		var ep transport.Endpoint = net.Node(ids[i])
+		// The last -byz replicas are the lying minority: honest replicas
+		// whose replies a core.Liar rewrites into an enormous fabricated
+		// max-tag — the strongest attack on a max-timestamp read protocol.
 		if *n-i <= *byz {
-			liar := core.NewByzantineReplica(ids[i], net.Node(ids[i]), core.ByzFabricate, *seed)
-			liar.Start()
-			defer liar.Stop()
+			l := core.NewLiar(ids[i], *seed)
+			l.SetMode(core.ByzFabricate)
+			liars.SetInterceptor(ids[i], l.Intercept)
+			ep = liars.Wrap(ep)
 			fmt.Printf("abd-sim: replica %d is Byzantine (fabricate)\n", i)
-			continue
 		}
-		r := core.NewReplica(ids[i], net.Node(ids[i]))
+		r := core.NewReplica(ids[i], ep)
 		r.Start()
 		defer r.Stop()
 	}

@@ -1,6 +1,9 @@
 // byzantine: one replica of five actively lies — and WithByzantine(1), the
-// protocol's first-class Byzantine mode, defeats every lying strategy the
-// adversary has. The demo first shows the attack working: a fabricating
+// protocol's Byzantine mode, defeats every lying strategy the adversary
+// has. The liar is an honest replica on a chaos-wrapped endpoint: a
+// core.Liar installed as the endpoint's interceptor rewrites every reply
+// the replica sends, while the replica underneath keeps storing writes.
+// The demo first shows the attack working: a fabricating
 // replica advertises an enormous timestamp and plain majority quorums
 // believe it. Then the same workload runs with validated reads against all
 // four ByzModes — fabricate, stale, silent, equivocate — and every read
@@ -18,8 +21,10 @@ import (
 	"log"
 	"time"
 
+	"repro/internal/chaos"
 	"repro/internal/core"
 	"repro/internal/netsim"
+	"repro/internal/transport"
 	"repro/internal/types"
 )
 
@@ -71,15 +76,18 @@ func runReads(mode core.ByzMode, opts ...core.ClientOption) (int, error) {
 			stop()
 		}
 	}()
+	const liar = 2
+	l := core.NewLiar(liar, 1)
+	l.SetMode(mode)
+	cn := chaos.New(1)
+	cn.SetInterceptor(liar, l.Intercept)
 	for i := 0; i < n; i++ {
 		ids[i] = types.NodeID(i)
-		if i == 2 {
-			liar := core.NewByzantineReplica(ids[i], net.Node(ids[i]), mode, 1)
-			liar.Start()
-			stops = append(stops, liar.Stop)
-			continue
+		var ep transport.Endpoint = net.Node(ids[i])
+		if i == liar {
+			ep = cn.Wrap(ep)
 		}
-		r := core.NewReplica(ids[i], net.Node(ids[i]))
+		r := core.NewReplica(ids[i], ep)
 		r.Start()
 		stops = append(stops, r.Stop)
 	}

@@ -34,25 +34,19 @@ type Client struct {
 	qs       quorum.System
 	ord      order
 
-	// Mode flags; see options.go. The read-mode knobs (fastRead,
-	// skipUnanimous, noWriteBack, coalesceReads) are one cross-validated
-	// option set — see ReadMode; the *Set companions record which knobs the
-	// caller set explicitly, so NewClient can tell an invalid combination
-	// (rejected) from a silently-disabled default.
-	singleWriter     bool
-	skipUnanimous    bool
-	skipUnanimousSet bool
-	noWriteBack      bool
-	fastRead         bool
-	fastReadSet      bool
-	bounded          bool
-	boundedDom    timestamp.Cyclic
-	readFanout    int
-	writeFanout   int
-	rrNext        atomic.Uint64 // round-robin cursor for partial fanout
-	maskF         int           // Byzantine replicas tolerated (masking quorums)
-	byzantine     bool          // WithByzantine: full validation incl. confirm rounds
-	byzF          int           // WithByzantine's f (0 = plain crash-fault client)
+	// Mode flags; see options.go. readMode is the cross-validated read
+	// option set; readModeSet records that WithReadMode supplied it, so
+	// NewClient can tell an explicitly requested fast path (rejected where
+	// it cannot hold) from the default one (silently withdrawn).
+	singleWriter bool
+	readMode     ReadMode
+	readModeSet  bool
+	bounded      bool
+	boundedDom   timestamp.Cyclic
+	readFanout   int
+	writeFanout  int
+	rrNext       atomic.Uint64 // round-robin cursor for partial fanout
+	byzF         int           // WithByzantine's f (0 = the paper's crash-fault client)
 
 	// Retransmission policy; see options.go. The default is adaptive: the
 	// interval tracks the client's own observed phase latencies.
@@ -68,20 +62,20 @@ type Client struct {
 	swLabel map[string]int64
 	swWrote map[string]bool // whether swLabel holds a real label yet
 
-	// Confirmed-watermark state (WithFastRead; DESIGN.md §10): per register,
-	// the highest tag this client knows to be stored at a full write quorum
-	// — advanced by its own quorum-acked updates and by watermarks gossiped
-	// back on query replies, piggybacked on every outgoing query and write.
+	// Confirmed-watermark state (ReadMode.FastRead; DESIGN.md §10): per
+	// register, the highest tag this client knows to be stored at a full
+	// write quorum — advanced by its own quorum-acked updates and by
+	// watermarks gossiped back on query replies, piggybacked on every
+	// outgoing query and write.
 	confMu    sync.Mutex
 	confirmed map[string]Tag
 
 	// Coalescing state (see coalesce.go): per-register shared rounds for
 	// concurrent reads and multi-writer writes issued through this client.
-	coalesceReads bool
-	absorbWrites  bool
-	coMu          sync.Mutex
-	rdRounds      map[string]*opRound
-	wrRounds      map[string]*opRound
+	absorbWrites bool
+	coMu         sync.Mutex
+	rdRounds     map[string]*opRound
+	wrRounds     map[string]*opRound
 
 	opSeq   atomic.Uint64
 	pendMu  sync.Mutex
@@ -128,11 +122,10 @@ func NewClient(id types.NodeID, ep transport.Endpoint, replicas []types.NodeID, 
 
 		confirmed: make(map[string]Tag),
 
-		fastRead:      true,
-		coalesceReads: true,
-		absorbWrites:  true,
-		rdRounds:      make(map[string]*opRound),
-		wrRounds:      make(map[string]*opRound),
+		readMode:     DefaultReadMode(),
+		absorbWrites: true,
+		rdRounds:     make(map[string]*opRound),
+		wrRounds:     make(map[string]*opRound),
 
 		rtPolicy:   retransmitAdaptive,
 		adaptFloor: DefaultRetransmitFloor,
@@ -147,21 +140,18 @@ func NewClient(id types.NodeID, ep transport.Endpoint, replicas []types.NodeID, 
 	for _, opt := range opts {
 		opt(c)
 	}
-	if c.byzantine {
-		if c.byzF < 0 {
-			return nil, fmt.Errorf("core: WithByzantine(%d): f must be >= 0", c.byzF)
-		}
-		if c.noWriteBack {
+	if c.byzF < 0 {
+		return nil, fmt.Errorf("core: WithByzantine(%d): f must be >= 0", c.byzF)
+	}
+	if c.byzF > 0 {
+		if !c.readMode.WriteBack {
 			return nil, fmt.Errorf("core: WithByzantine cannot combine with WithUnsafeNoWriteBack: the write-back is what repairs honest laggards")
 		}
-		if c.byzF > 0 {
-			m := quorum.NewMasking(len(c.replicas), c.byzF)
-			if err := m.Validate(); err != nil {
-				return nil, fmt.Errorf("core: WithByzantine(%d): %w", c.byzF, err)
-			}
-			c.qs = m
-			c.maskF = c.byzF
+		m := quorum.NewMasking(len(c.replicas), c.byzF)
+		if err := m.Validate(); err != nil {
+			return nil, fmt.Errorf("core: WithByzantine(%d): %w", c.byzF, err)
 		}
+		c.qs = m
 	}
 	if c.qs.Size() != len(c.replicas) {
 		return nil, fmt.Errorf("core: quorum system sized for %d replicas, group has %d",
@@ -171,23 +161,24 @@ func NewClient(id types.NodeID, ep transport.Endpoint, replicas []types.NodeID, 
 		return nil, fmt.Errorf("core: bounded labels require the single-writer mode")
 	}
 	// Cross-validate the read-mode option set (see ReadMode). An explicitly
-	// requested skip is rejected when it cannot mean anything; the same knob
-	// left at its default is silently turned off instead.
-	if c.noWriteBack {
-		if c.fastReadSet && c.fastRead {
-			return nil, fmt.Errorf("core: WithFastRead cannot combine with WithUnsafeNoWriteBack: the fast path skips the write-back only when the watermark proves it redundant, the unsafe mode skips it unconditionally")
+	// requested skip is rejected when it cannot mean anything; the default
+	// fast path is silently withdrawn instead. SkipUnanimous is off by
+	// default, so when it is on the caller asked for it.
+	explicitFast := c.readModeSet && c.readMode.FastRead
+	if !c.readMode.WriteBack {
+		if explicitFast {
+			return nil, fmt.Errorf("core: ReadMode.FastRead cannot combine with WriteBack off: the fast path skips the write-back only when the watermark proves it redundant, the unsafe mode skips it unconditionally")
 		}
-		if c.skipUnanimousSet && c.skipUnanimous {
+		if c.readMode.SkipUnanimous {
 			return nil, fmt.Errorf("core: WithSkipUnanimousWriteBack cannot combine with WithUnsafeNoWriteBack: there is no write-back left to skip")
 		}
-		c.fastRead = false
-		c.skipUnanimous = false
+		c.readMode.FastRead = false
 	}
 	if c.bounded {
-		if c.fastReadSet && c.fastRead {
-			return nil, fmt.Errorf("core: WithFastRead cannot combine with bounded labels: cyclic labels admit no sound watermark order")
+		if explicitFast {
+			return nil, fmt.Errorf("core: ReadMode.FastRead cannot combine with bounded labels: cyclic labels admit no sound watermark order")
 		}
-		c.fastRead = false
+		c.readMode.FastRead = false
 	}
 	c.start()
 	return c, nil
@@ -213,24 +204,12 @@ func (c *Client) HotKeyTotal() int64 { return c.hot.Total() }
 
 // ByzantineF returns the number of lying replicas the client's read
 // validation tolerates (WithByzantine), 0 when validation is off.
-func (c *Client) ByzantineF() int {
-	if !c.byzantine {
-		return 0
-	}
-	return c.byzF
-}
+func (c *Client) ByzantineF() int { return c.byzF }
 
 // ReadMode reports the client's effective read mode after NewClient's
 // cross-validation — e.g. FastRead reads false on a bounded-label client
 // even though the default is on.
-func (c *Client) ReadMode() ReadMode {
-	return ReadMode{
-		FastRead:      c.fastRead,
-		SkipUnanimous: c.skipUnanimous,
-		Coalesce:      c.coalesceReads,
-		WriteBack:     !c.noWriteBack,
-	}
-}
+func (c *Client) ReadMode() ReadMode { return c.readMode }
 
 // confirmedTag returns the client's own confirmed watermark for reg (zero
 // until something has been confirmed).
@@ -245,7 +224,7 @@ func (c *Client) confirmedTag(reg string) Tag {
 // or vouched by the gossip rules in watermark. No-op with the fast path
 // off: the map is then never consulted.
 func (c *Client) noteConfirmed(reg string, tag Tag) {
-	if !c.fastRead || !tag.Valid {
+	if !c.readMode.FastRead || !tag.Valid {
 		return
 	}
 	c.confMu.Lock()
@@ -259,7 +238,7 @@ func (c *Client) noteConfirmed(reg string, tag Tag) {
 // the client's own confirmed tag, or zero (encoding in the pre-watermark
 // wire format) when the fast path is off.
 func (c *Client) gossip(reg string) Tag {
-	if !c.fastRead {
+	if !c.readMode.FastRead {
 		return Tag{}
 	}
 	return c.confirmedTag(reg)
@@ -267,15 +246,14 @@ func (c *Client) gossip(reg string) Tag {
 
 // watermark folds the query replies' confirmed-watermark claims into the
 // client's own watermark for reg and returns the result. In crash mode
-// every replica is honest, so the maximum claim is trusted. In masking mode
-// (WithByzantine / WithMaskingFaults) up to maskF repliers lie, so only the
-// (maskF+1)-th largest claim is trusted: at least one of the maskF+1
-// replicas claiming that much is honest, and an honest claim is true. A
+// every replica is honest, so the maximum claim is trusted. Under
+// WithByzantine(f) up to f repliers lie, so only the (f+1)-th largest claim
+// is trusted: at least one of the f+1 replicas claiming that much is honest, and an honest claim is true. A
 // lying replica can therefore suppress fast-path hits but never mint a
 // watermark above what some honest replica confirmed.
 func (c *Client) watermark(reg string, replies []message) Tag {
 	var wm Tag
-	if c.maskF == 0 {
+	if c.byzF == 0 {
 		for _, m := range replies {
 			adoptConf(c.ord, &wm, m.Conf)
 		}
@@ -286,12 +264,12 @@ func (c *Client) watermark(reg string, replies []message) Tag {
 				confs = append(confs, m.Conf)
 			}
 		}
-		if len(confs) > c.maskF {
+		if len(confs) > c.byzF {
 			sort.Slice(confs, func(i, j int) bool {
 				cmp, err := c.ord.compare(confs[i], confs[j])
 				return err == nil && cmp > 0
 			})
-			wm = confs[c.maskF]
+			wm = confs[c.byzF]
 		}
 	}
 	c.noteConfirmed(reg, wm)
@@ -627,8 +605,8 @@ func (c *Client) newest(replies []message) (Tag, types.Value, error) {
 }
 
 // vouch partitions replies by (tag, value) pair: accepted holds one
-// representative per pair reported identically by at least maskF+1 distinct
-// replicas, unsupported one per pair below that bar. At most maskF replicas
+// representative per pair reported identically by at least byzF+1 distinct
+// replicas, unsupported one per pair below that bar. At most byzF replicas
 // are Byzantine, so every accepted pair was reported by a correct replica
 // and is a genuine protocol value; an unsupported pair may be an honest
 // in-flight write seen at few replicas — or a lie.
@@ -648,7 +626,7 @@ func (c *Client) vouch(replies []message) (accepted, unsupported []message) {
 		}
 	}
 	for _, g := range groups {
-		if g.count >= c.maskF+1 {
+		if g.count >= c.byzF+1 {
 			accepted = append(accepted, g.rep)
 		} else {
 			unsupported = append(unsupported, g.rep)
@@ -677,24 +655,28 @@ func (c *Client) aheadOf(replies []message, tag Tag) bool {
 // quorum rounds it paid (1 plus any masking retries and confirm rounds —
 // the read path's ReadRounds accounting).
 //
-// Plain mode (maskF == 0) is the paper's rule: one phase, newest pair
-// wins. Masking mode (WithMaskingFaults / WithByzantine(f>0)) only trusts
-// pairs reported identically by >= maskF+1 replicas and re-queries while
-// write concurrency splits the vote below that bar. The full Byzantine
-// mode adds the echo/confirm step: when some replica reports a pair NEWER
-// than every vouched-for pair but without f+1 support, the client cannot
-// tell an honest in-flight write from a fabricated max-tag, so it
-// re-queries once more (the confirm round, metric byzConfirms). An honest
-// write's pair gains f+1 support in the fresh round — its update phase
-// reached more correct replicas meanwhile — or is superseded by an even
-// newer vouched pair; either way the fresh round's vouched max catches up
-// and nothing is suspected. A fabrication can never gain honest support:
-// if the confirm round still shows an unsupported tag ahead of everything
-// vouched, the client discards it as a suspected lie (metric byzRejects)
-// and adopts the newest vouched pair. Exactly one confirm round runs per
-// operation — an equivocator fabricating fresh tags every round cannot
-// livelock the read — and fabricated tags never reach the write-back
-// phase (DESIGN.md invariant V2).
+// The crash-fault client (byzF == 0) runs the paper's rule: one phase,
+// newest pair wins. WithByzantine(f>0) only trusts pairs reported
+// identically by >= f+1 replicas and re-queries while write concurrency
+// splits the vote below that bar. It adds the echo/confirm step: when some
+// replica reports a pair NEWER than every vouched-for pair but without f+1
+// support, the client cannot tell an honest in-flight write from a
+// fabricated max-tag, so it re-queries once more (the confirm round,
+// metric byzConfirms). Usually an honest write's pair gains f+1 support in
+// the fresh round — its update phase reached more correct replicas
+// meanwhile — or is superseded by an even newer vouched pair. A
+// fabrication can never gain honest support: if the confirm round still
+// shows an unsupported tag ahead of everything vouched, the client
+// discards it as a suspected lie (metric byzRejects) and adopts the newest
+// vouched pair. Exactly one confirm round runs per operation — an
+// equivocator fabricating fresh tags every round cannot livelock the read
+// — and fabricated tags never reach the write-back phase (DESIGN.md
+// invariant V2).
+//
+// The rule is a heuristic, not a proof of lying: asynchrony grants no
+// bound on how long an honest update stays at fewer than f+1 replicas,
+// so an honest in-flight write can also still be unsupported after the
+// confirm round and be counted in byzRejects (ROADMAP item 1(a)).
 func (c *Client) queryValidated(ctx context.Context, reg string, ot opTrace) (Tag, types.Value, []message, int, error) {
 	confirming := false
 	for rounds := 1; ; rounds++ {
@@ -706,7 +688,7 @@ func (c *Client) queryValidated(ctx context.Context, reg string, ot opTrace) (Ta
 		if err != nil {
 			return Tag{}, nil, nil, rounds, err
 		}
-		if c.maskF == 0 {
+		if c.byzF == 0 {
 			best, val, err := c.newest(replies)
 			if err != nil {
 				return Tag{}, nil, nil, rounds, err
@@ -725,17 +707,17 @@ func (c *Client) queryValidated(ctx context.Context, reg string, ot opTrace) (Ta
 			return Tag{}, nil, nil, rounds, err
 		}
 		switch {
-		case !c.byzantine || !c.aheadOf(unsupported, best):
-			// Legacy masking mode trusts the vouched max outright; in the
-			// full Byzantine mode this is the quiet case — nothing claims to
-			// be ahead of the validated state.
+		case !c.aheadOf(unsupported, best):
+			// The quiet case: nothing claims to be ahead of the validated
+			// state.
 		case !confirming:
 			confirming = true
 			c.metrics.byzConfirms.Add(1)
 			continue
 		default:
 			// Still ahead of everything f+1-supported after a fresh round:
-			// no honest write stays invisible that long — suspected lie.
+			// suspected lie. An honest write still short of f+1 replicas
+			// lands here too; asynchrony bounds no delay (ROADMAP 1(a)).
 			c.metrics.byzRejects.Add(1)
 		}
 		return best, val, replies, rounds, nil
@@ -753,7 +735,7 @@ func (c *Client) Read(ctx context.Context, reg string) (types.Value, error) {
 	defer endTask()
 	var val types.Value
 	var err error
-	if c.coalesceReads {
+	if c.readMode.Coalesce {
 		val, err = c.readCoalesced(ctx, reg, ot)
 	} else {
 		val, err = c.read(ctx, reg, ot)
@@ -785,12 +767,12 @@ func (c *Client) read(ctx context.Context, reg string, ot opTrace) (types.Value,
 		return nil, nil
 	}
 
-	if c.noWriteBack {
+	if !c.readMode.WriteBack {
 		c.metrics.writeBacksSkipped.Add(1)
 		recordRounds()
 		return val, nil
 	}
-	if c.fastRead {
+	if c.readMode.FastRead {
 		// Fast path (DESIGN.md §10): when the newest observed tag is at or
 		// below a confirmed watermark, the pair is already stored at a full
 		// write quorum, so the write-back would be a no-op — the read
@@ -807,7 +789,7 @@ func (c *Client) read(ctx context.Context, reg string, ot opTrace) (types.Value,
 			}
 		}
 	}
-	if c.skipUnanimous && unanimous(replies, best) {
+	if c.readMode.SkipUnanimous && unanimous(replies, best) {
 		// Every member of a full read quorum already stores the pair, so
 		// any later read quorum intersects it and will see a tag >= best:
 		// the write-back would be a no-op. (Safe optimization.)

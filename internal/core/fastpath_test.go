@@ -181,7 +181,7 @@ func TestFastPathWithCoalescing(t *testing.T) {
 func TestFastPathByzantineLyingWatermark(t *testing.T) {
 	const n, f = 5, 1
 	c := newByzCluster(t, n, 2, ByzFabricate)
-	w := c.client(append(maskingOpts(n, f), WithSingleWriter())...)
+	w := c.client(WithByzantine(f), WithSingleWriter())
 	r := c.client(WithByzantine(f))
 	ctx := shortCtx(t)
 
@@ -198,8 +198,8 @@ func TestFastPathByzantineLyingWatermark(t *testing.T) {
 	// liar's claim alone — which the honest values above already prove.
 }
 
-// TestFastPathMaskingWatermarkBar: in masking mode the watermark is the
-// (f+1)-th largest claim. With only the liar claiming an enormous conf, the
+// TestFastPathMaskingWatermarkBar: under WithByzantine(f) the watermark is
+// the (f+1)-th largest claim. With only the liar claiming an enormous conf, the
 // client's watermark must stay at the honest level.
 func TestFastPathMaskingWatermarkBar(t *testing.T) {
 	const n, f = 5, 1
@@ -207,7 +207,7 @@ func TestFastPathMaskingWatermarkBar(t *testing.T) {
 	r := c.client(WithByzantine(f))
 	ctx := shortCtx(t)
 
-	w := c.client(append(maskingOpts(n, f), WithSingleWriter())...)
+	w := c.client(WithByzantine(f), WithSingleWriter())
 	mustWrite(t, ctx, w, "x", "honest")
 	// Prime: slow read confirms the honest tag.
 	if got := mustRead(t, ctx, r, "x"); got != "honest" {
@@ -252,9 +252,9 @@ func TestReadModeValidation(t *testing.T) {
 	// Rejected combinations: explicit fast path or unanimity skip without a
 	// write-back to skip, and fast path under bounded labels.
 	for name, opts := range map[string][]ClientOption{
-		"FastRead+NoWriteBack":       {WithFastRead(), WithUnsafeNoWriteBack()},
+		"FastRead+NoWriteBack":       {WithReadMode(DefaultReadMode()), WithUnsafeNoWriteBack()},
 		"SkipUnanimous+NoWriteBack":  {WithSkipUnanimousWriteBack(), WithUnsafeNoWriteBack()},
-		"FastRead+Bounded":           {WithFastRead(), WithBoundedLabels(16)},
+		"FastRead+Bounded":           {WithReadMode(DefaultReadMode()), WithBoundedLabels(16)},
 		"ReadMode fast no-writeback": {WithReadMode(ReadMode{FastRead: true, Coalesce: true})},
 		"ReadMode skip no-writeback": {WithReadMode(ReadMode{SkipUnanimous: true})},
 	} {

@@ -9,6 +9,23 @@ import (
 	"repro/internal/types"
 )
 
+// ByzMode selects a Liar's lying strategy; 0 is honest.
+type ByzMode int
+
+// Lying strategies for Liar.
+const (
+	// ByzFabricate answers every query with a fabricated value carrying an
+	// enormous timestamp — the strongest attack on a max-timestamp read.
+	ByzFabricate ByzMode = iota + 1
+	// ByzStale answers every query with the initial (never written) state.
+	ByzStale
+	// ByzSilent never answers anything: indistinguishable from a crash.
+	ByzSilent
+	// ByzEquivocate fabricates a *different* value per reply, so no two
+	// clients (or phases) see the same lie.
+	ByzEquivocate
+)
+
 // Liar turns an honest replica's outbound traffic into a Byzantine
 // replica's, from the network's point of view. It is the protocol-level
 // analogue of chaos byte corruption: instead of flipping bits (which the
@@ -20,12 +37,15 @@ import (
 // (WithByzantine) can reject it.
 //
 // Install the Intercept method as a chaos.Interceptor on the lying node's
-// outbound path (chaos.Net.SetInterceptor). The replica underneath stays
-// honest — it keeps storing writes and appending its WAL — so clearing the
-// mode instantly restores a correct, caught-up replica: the faulty thing
-// is the node's reporting, not its state. That is exactly the adversary
-// the nemesis Byzantine schedules need, a replica that lies for a window
-// and then rejoins.
+// outbound path (chaos.Net.SetInterceptor) and run an ordinary Replica on
+// the chaos.Net.Wrap-ped endpoint — over netsim or tcpnet alike. It is the
+// one Byzantine adversary: the core tests, experiments T6 and BY,
+// abd-sim -byz and the nemesis harness all build it this way. The replica
+// underneath stays honest — it keeps storing writes and appending its
+// WAL — so clearing the mode instantly restores a correct, caught-up
+// replica: the faulty thing is the node's reporting, not its state, and
+// the nemesis Byzantine schedules can let a replica lie for a window and
+// then rejoin.
 //
 // Liar is safe for concurrent use (transports may send from several
 // goroutines) and survives replica crash/restart cycles: it keys off the

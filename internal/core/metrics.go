@@ -54,17 +54,20 @@ type MetricsSnapshot struct {
 	// Retransmits counts re-sent requests (WithRetransmit on a lossy
 	// substrate).
 	Retransmits int64
-	// MaskRetries counts masking-mode query phases repeated because no
-	// pair had f+1 support (T6).
+	// MaskRetries counts WithByzantine query phases repeated because no
+	// pair had f+1 support.
 	MaskRetries int64
 	// ByzConfirms counts WithByzantine confirm rounds: a query saw an
 	// unsupported pair ahead of everything f+1-vouched and re-queried once
 	// to tell an honest in-flight write from a fabricated tag. ByzRejects
 	// counts the confirm rounds that ended in suspicion — the pair stayed
-	// unsupported and was discarded as a lie. ByzRejects is the
-	// suspected-liar counter the health layer exports (abd_health_byz_*):
-	// zero in honest runs, nonzero whenever a fabricating or equivocating
-	// replica is being masked.
+	// unsupported and was discarded. ByzRejects is the suspected-liar
+	// counter the health layer exports (abd_health_byz_*): nonzero whenever
+	// a fabricating or equivocating replica is being masked. It is not
+	// proof of a lie: under asynchrony an honest write can still be in
+	// flight at f or fewer replicas after the confirm round, and is counted
+	// here as well, so an honest run under write contention can show a
+	// small nonzero count (ROADMAP item 1(a)).
 	ByzConfirms, ByzRejects int64
 	// CoalescedReads counts reads served by adopting a concurrent read's
 	// shared quorum round; AbsorbedWrites counts multi-writer writes acked
@@ -74,10 +77,10 @@ type MetricsSnapshot struct {
 	CoalescedReads, AbsorbedWrites int64
 	// FastPathReads counts reads completed in one round because the newest
 	// observed tag was at or below the quorum's confirmed watermark (the
-	// WithFastRead path; DESIGN.md §10). ReadRounds sums the quorum rounds
-	// every completed read paid (query, masking/confirm retries, write-back)
-	// — ReadRounds/Reads is the mean round trips per read, the number the
-	// fast path exists to push toward 1.
+	// ReadMode.FastRead path; DESIGN.md §10). ReadRounds sums the quorum
+	// rounds every completed read paid (query, masking/confirm retries,
+	// write-back) — ReadRounds/Reads is the mean round trips per read, the
+	// number the fast path exists to push toward 1.
 	FastPathReads, ReadRounds int64
 	// ReadFails and WriteFails count operations that returned an error (no
 	// quorum, timeout, closed client). Together with Reads/Writes they give

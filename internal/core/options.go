@@ -67,23 +67,8 @@ func DefaultReadMode() ReadMode {
 // spelling of the same set.
 func WithReadMode(m ReadMode) ClientOption {
 	return func(c *Client) {
-		c.fastRead = m.FastRead
-		c.fastReadSet = true
-		c.skipUnanimous = m.SkipUnanimous
-		c.skipUnanimousSet = true
-		c.coalesceReads = m.Coalesce
-		c.noWriteBack = !m.WriteBack
-	}
-}
-
-// WithFastRead explicitly enables the confirmed-watermark fast path (it is
-// already the default; the explicit form exists so the intent survives next
-// to options that would otherwise disable it, and is rejected when it
-// cannot hold — see WithReadMode).
-func WithFastRead() ClientOption {
-	return func(c *Client) {
-		c.fastRead = true
-		c.fastReadSet = true
+		c.readMode = m
+		c.readModeSet = true
 	}
 }
 
@@ -91,10 +76,7 @@ func WithFastRead() ClientOption {
 // pays the write-back unless another skip applies. The seeded two-phase
 // protocol, used by ablations and the message-complexity experiments.
 func WithoutFastRead() ClientOption {
-	return func(c *Client) {
-		c.fastRead = false
-		c.fastReadSet = true
-	}
+	return func(c *Client) { c.readMode.FastRead = false }
 }
 
 // WithSkipUnanimousWriteBack enables the safe read optimization: when every
@@ -102,10 +84,7 @@ func WithoutFastRead() ClientOption {
 // already stored at a full read quorum, so the write-back phase is skipped.
 // Contended reads still pay both phases. (Experiment F5's ablation.)
 func WithSkipUnanimousWriteBack() ClientOption {
-	return func(c *Client) {
-		c.skipUnanimous = true
-		c.skipUnanimousSet = true
-	}
+	return func(c *Client) { c.readMode.SkipUnanimous = true }
 }
 
 // WithUnsafeNoWriteBack disables the read's write-back phase entirely. The
@@ -116,7 +95,7 @@ func WithSkipUnanimousWriteBack() ClientOption {
 // the (default) fast path off: rejecting redundant write-backs needs no
 // watermark when every write-back is rejected wholesale.
 func WithUnsafeNoWriteBack() ClientOption {
-	return func(c *Client) { c.noWriteBack = true }
+	return func(c *Client) { c.readMode.WriteBack = false }
 }
 
 // WithReadFanout limits how many replicas a read-side query phase contacts
@@ -220,7 +199,7 @@ func WithAdaptiveRetransmit(floor, ceiling time.Duration) ClientOption {
 // isolation — a coalesced read shares its leader's fate and retries on its
 // own round only afterwards.
 func WithoutReadCoalescing() ClientOption {
-	return func(c *Client) { c.coalesceReads = false }
+	return func(c *Client) { c.readMode.Coalesce = false }
 }
 
 // WithoutWriteAbsorption disables multi-writer write absorption: every
@@ -230,23 +209,6 @@ func WithoutReadCoalescing() ClientOption {
 // trip, and bounded label domination is per-write).
 func WithoutWriteAbsorption() ClientOption {
 	return func(c *Client) { c.absorbWrites = false }
-}
-
-// WithMaskingFaults hardens the client against up to f Byzantine replicas,
-// following the masking-quorum generalization of the paper (Malkhi &
-// Reiter). Use together with WithQuorum(quorum.NewMasking(n, f)) — quorums
-// then intersect in >= 2f+1 replicas — and the client only trusts a
-// (timestamp, value) pair reported identically by at least f+1 replicas,
-// which at most-f liars can never fabricate.
-//
-// Semantics: reads and multi-writer timestamp queries retry their phase
-// until some pair has f+1 support. In quiescent periods the latest write
-// always does (f+1 correct replicas of any quorum intersection hold it);
-// under heavy write concurrency a phase may observe support split across
-// in-flight values and retry — the construction is obstruction-free rather
-// than wait-free, the standard trade-off for this Byzantine extension.
-func WithMaskingFaults(f int) ClientOption {
-	return func(c *Client) { c.maskF = f }
 }
 
 // WithByzantine makes Byzantine tolerance a first-class protocol mode:
@@ -261,23 +223,28 @@ func WithMaskingFaults(f int) ClientOption {
 // repairs honest laggards with the validated pair only (fabricated tags
 // never propagate).
 //
+// A query phase in which no pair reaches f+1 support (write concurrency
+// split the vote) is simply repeated, counted in MaskRetries: the
+// construction is obstruction-free rather than wait-free, the standard
+// trade-off for this Byzantine extension.
+//
 // When a query observes a pair newer than anything f+1-supported, the
 // client cannot tell an honest in-flight write from a fabricated max-tag;
 // it re-queries once (the confirm round, counted in
-// MetricsSnapshot.ByzConfirms). An honest write's pair gains support in
-// the fresh round; a fabrication never does and is discarded, counted in
-// ByzConfirms' companion ByzRejects — the suspected-liar counter the
-// health layer exports.
+// MetricsSnapshot.ByzConfirms). A fabrication never gains support and is
+// discarded, counted in ByzConfirms' companion ByzRejects — the
+// suspected-liar counter the health layer exports. An honest write's pair
+// usually gains support in the fresh round, but asynchrony does not
+// promise it: a write still in flight at f or fewer replicas is discarded
+// the same way and trips ByzRejects too (ROADMAP item 1(a)). The counter
+// is a suspicion, not proof of a lie.
 //
 // Requires n >= 4f+1 replicas (quorum.Masking.Validate; n > 3f is the
 // information-theoretic lower bound, but this one-round validation needs
 // the stronger bound — see DESIGN.md). f = 0 is the plain crash-fault
 // client unchanged: majority quorums, no validation, no cost.
 func WithByzantine(f int) ClientOption {
-	return func(c *Client) {
-		c.byzantine = true
-		c.byzF = f
-	}
+	return func(c *Client) { c.byzF = f }
 }
 
 // WithTracer attaches a span tracer to the client. Every Read and Write

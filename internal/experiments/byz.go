@@ -10,7 +10,6 @@ import (
 	"repro/internal/core"
 	"repro/internal/history"
 	"repro/internal/lincheck"
-	"repro/internal/netsim"
 	"repro/internal/quorum"
 	"repro/internal/types"
 )
@@ -144,8 +143,8 @@ type byzPass struct {
 	Linearizable bool  `json:"linearizable"`
 }
 
-// runByzPass runs one BY pass: n replicas (replica 2 a fabricating
-// ByzantineReplica when attack), 1 writer + 2 readers hammering one
+// runByzPass runs one BY pass: n replicas (replica 2's replies rewritten by
+// a fabricating core.Liar when attack), 1 writer + 2 readers hammering one
 // register concurrently with a recorded history, then a linearizability
 // check over what the clients observed.
 func runByzPass(o Options, name string, f int, attack bool, n, ops int) (byzPass, error) {
@@ -154,33 +153,17 @@ func runByzPass(o Options, name string, f int, attack bool, n, ops int) (byzPass
 		pass.QuorumSize = quorum.NewMasking(n, f).QuorumSize()
 	}
 
-	net := netsim.New(netsim.Config{Seed: o.seed()})
-	defer net.Close()
-	var ids []types.NodeID
-	var reps []interface{ Stop() }
-	for i := 0; i < n; i++ {
-		id := types.NodeID(i)
-		ids = append(ids, id)
-		if attack && i == 2 {
-			liar := core.NewByzantineReplica(id, net.Node(id), core.ByzFabricate, o.seed())
-			liar.Start()
-			reps = append(reps, liar)
-			continue
-		}
-		r := core.NewReplica(id, net.Node(id))
-		r.Start()
-		reps = append(reps, r)
+	var mode core.ByzMode
+	if attack {
+		mode = core.ByzFabricate
 	}
-	defer func() {
-		for _, r := range reps {
-			r.Stop()
-		}
-	}()
+	c := newLiarCluster(o.seed(), n, 2, mode)
+	defer c.close()
 
 	copts := []core.ClientOption{core.WithByzantine(f)}
 	clients := make([]*core.Client, 3)
 	for i := range clients {
-		cli, err := core.NewClient(types.NodeID(1000+i), net.Node(types.NodeID(1000+i)), ids, copts...)
+		cli, err := core.NewClient(types.NodeID(1000+i), c.net.Node(types.NodeID(1000+i)), c.ids, copts...)
 		if err != nil {
 			return pass, err
 		}
