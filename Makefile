@@ -34,10 +34,18 @@ check: build vet test race
 # crash+restart, linearizability check), its spans dumped as JSONL and fed
 # back through abd-trace, which exits nonzero unless at least 95% of the
 # replica/transport spans stitch to the client operation that caused them.
+# Then a scripted link-fault mix and partition on the simulator, through
+# the same chaos injector: the run fails on any NOT linearizable register
+# or if the drop mix lost nothing.
 SMOKE_SPANS ?= $(if $(TMPDIR),$(TMPDIR),/tmp)/abd-smoke-spans.jsonl
+SMOKE_SIM_OUT ?= $(if $(TMPDIR),$(TMPDIR),/tmp)/abd-smoke-sim.txt
+SMOKE_SIM_FAULTS = faults:*:drop=0.2@20ms; partition:0,1|2,3,4@60ms; heal@150ms; faults:*:none@200ms
 smoke:
 	$(GO) run ./cmd/abd-sim -nemesis -seed 7 -trace-out $(SMOKE_SPANS)
 	$(GO) run ./cmd/abd-trace -min-stitch 0.95 $(SMOKE_SPANS)
+	$(GO) run ./cmd/abd-sim -n 5 -check -faults "$(SMOKE_SIM_FAULTS)" > $(SMOKE_SIM_OUT); st=$$?; cat $(SMOKE_SIM_OUT); test $$st -eq 0
+	! grep -q 'NOT linearizable' $(SMOKE_SIM_OUT)
+	grep -Eq ', [1-9][0-9]* dropped\)' $(SMOKE_SIM_OUT)
 
 bench:
 	$(GO) test -bench=. -benchmem ./...

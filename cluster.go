@@ -5,6 +5,7 @@ import (
 	"sync"
 	"time"
 
+	"repro/internal/chaos"
 	"repro/internal/core"
 	"repro/internal/health"
 	"repro/internal/netsim"
@@ -67,8 +68,9 @@ func WithDelays(min, max time.Duration) Option {
 }
 
 // WithDropProbability makes each message be lost independently with
-// probability p. The paper's model assumes reliable links (p = 0); this
-// knob exists for stress testing.
+// probability p: it sets the network's default chaos fault mix to drop=p
+// (a faults:*:... schedule action replaces it). The paper's model assumes
+// reliable links (p = 0); this knob exists for stress testing.
 func WithDropProbability(p float64) Option {
 	return func(c *clusterConfig) { c.dropProb = p }
 }
@@ -176,13 +178,13 @@ func newCluster(groups, perGroup int, cfg clusterConfig) (*Cluster, error) {
 			Seed:     cfg.seed,
 			MinDelay: cfg.minDelay,
 			MaxDelay: cfg.maxDelay,
-			DropProb: cfg.dropProb,
 		}),
 		groups:   groups,
 		perGroup: perGroup,
 		nextCli:  types.NodeID(10000),
 		cfg:      cfg,
 	}
+	cl.net.SetDefaultFaults(chaos.Faults{Drop: cfg.dropProb})
 	for i := 0; i < groups*perGroup; i++ {
 		id := types.NodeID(i)
 		ropts := cfg.replicaOpts
@@ -287,7 +289,7 @@ func (c *Cluster) CrashGroupMinority(g int) {
 }
 
 // Partition splits the network into groups of node ids (replicas and
-// clients alike). Nodes in no group are isolated.
+// clients alike). Nodes in no group cannot reach any listed node.
 func (c *Cluster) Partition(groups ...[]NodeID) {
 	c.net.Partition(groups...)
 }
@@ -295,8 +297,8 @@ func (c *Cluster) Partition(groups ...[]NodeID) {
 // Heal removes any partition.
 func (c *Cluster) Heal() { c.net.Heal() }
 
-// Net exposes the underlying simulated network for fault injection
-// (internal/failure schedules target it directly).
+// Net exposes the underlying simulated network and its chaos fault
+// injector (internal/failure schedules target it directly).
 func (c *Cluster) Net() *netsim.Net { return c.net }
 
 // Replica returns replica i (flattened index) for state inspection in

@@ -12,13 +12,14 @@
 // that cannot reach a quorum during a fault window are recorded as pending
 // (crashed) and the run continues — exactly how the model treats them.
 //
-// With -byz F the run becomes a Byzantine scenario: the last F replicas
-// lie — each is an honest replica on a chaos-wrapped endpoint whose read
-// replies a core.Liar rewrites into fabricated max-tags (the same
-// adversary the nemesis mode uses) — every client validates
-// reads with WithByzantine(F) (masking quorums, f+1 vouching; requires
-// n >= 4F+1), the linearizability check is forced on, and the per-register
-// verdicts plus the suspected-liar counters are printed:
+// With -byz F the run becomes a Byzantine scenario: every replica carries
+// a core.Liar as its chaos interceptor (the same adversary the nemesis mode
+// uses), the last F start out rewriting their read replies into fabricated
+// max-tags, and byz:<node>:<mode> actions in -faults switch any replica's
+// strategy; every client validates reads with WithByzantine(F) (masking
+// quorums, f+1 vouching; requires n >= 4F+1), the linearizability check is
+// forced on, and the per-register verdicts plus the suspected-liar counters
+// are printed:
 //
 //	abd-sim -byz 1 -n 5
 //
@@ -33,9 +34,10 @@
 //	abd-sim -nemesis -seed 101
 //	abd-sim -nemesis -faults "faults:*:drop=0.3@100ms; crash:2@1s; recover:2@2s"
 //
-// In nemesis mode -faults may additionally use the chaos events (faults:,
-// reset:) and reference client ids (9000, 9001, ...); when -faults is
-// empty a schedule is generated deterministically from -seed.
+// Every script action means the same on both substrates; reset: is a no-op
+// on the simulator, which has no connections to tear down. In nemesis mode
+// -faults may additionally reference client ids (9000, 9001, ...); when
+// -faults is empty a schedule is generated deterministically from -seed.
 //
 // With -groups G (nemesis only) the cluster becomes G independent replica
 // groups of n replicas each behind sharded stores (internal/shard): the
@@ -54,7 +56,6 @@ import (
 	"sync"
 	"time"
 
-	"repro/internal/chaos"
 	"repro/internal/core"
 	"repro/internal/failure"
 	"repro/internal/history"
@@ -62,7 +63,6 @@ import (
 	"repro/internal/nemesis"
 	"repro/internal/netsim"
 	"repro/internal/obs"
-	"repro/internal/transport"
 	"repro/internal/types"
 )
 
@@ -141,22 +141,23 @@ func run() int {
 
 	net := netsim.New(netsim.Config{Seed: *seed, MinDelay: *minDelay, MaxDelay: *maxDelay})
 	defer net.Close()
-	liars := chaos.New(*seed)
 	ids := make([]types.NodeID, *n)
-	for i := 0; i < *n; i++ {
+	for i := range ids {
 		ids[i] = types.NodeID(i)
-		var ep transport.Endpoint = net.Node(ids[i])
+	}
+	fabric := simFabric{Net: net}
+	if *byz > 0 {
+		fabric.Liars = core.InstallLiars(net.Net, ids, *seed)
 		// The last -byz replicas are the lying minority: honest replicas
 		// whose replies a core.Liar rewrites into an enormous fabricated
 		// max-tag — the strongest attack on a max-timestamp read protocol.
-		if *n-i <= *byz {
-			l := core.NewLiar(ids[i], *seed)
-			l.SetMode(core.ByzFabricate)
-			liars.SetInterceptor(ids[i], l.Intercept)
-			ep = liars.Wrap(ep)
-			fmt.Printf("abd-sim: replica %d is Byzantine (fabricate)\n", i)
+		for _, id := range ids[*n-*byz:] {
+			fabric.SetByzantine(id, int(core.ByzFabricate))
+			fmt.Printf("abd-sim: replica %d is Byzantine (fabricate)\n", id)
 		}
-		r := core.NewReplica(ids[i], ep)
+	}
+	for _, id := range ids {
+		r := core.NewReplica(id, net.Node(id))
 		r.Start()
 		defer r.Stop()
 	}
@@ -164,7 +165,7 @@ func run() int {
 	ctx, cancel := context.WithTimeout(context.Background(), 10*time.Minute)
 	defer cancel()
 	go func() {
-		if err := sched.Run(ctx, net); err != nil && ctx.Err() == nil {
+		if err := sched.Run(ctx, fabric); err != nil && ctx.Err() == nil {
 			fmt.Fprintf(os.Stderr, "abd-sim: fault schedule: %v\n", err)
 		}
 	}()
@@ -251,9 +252,13 @@ func run() int {
 	wg.Wait()
 	elapsed := time.Since(start)
 
+	// Sent counts every message a node sent, lost ones included: the
+	// channel meters what reached it, the chaos controller what it dropped
+	// before that.
 	st := net.Stats()
+	lost := net.Net.Stats().Dropped
 	fmt.Printf("abd-sim: %d ok, %d pending/timed-out ops in %v (%d messages sent, %d dropped)\n",
-		okOps, pendingOps, elapsed.Round(time.Millisecond), st.Sent, st.Dropped)
+		okOps, pendingOps, elapsed.Round(time.Millisecond), st.Sent+lost, st.Dropped+lost)
 
 	// Latency profile, merged over every client's obs histograms. Only
 	// completed operations record, so the pending ops above are absent.
@@ -329,6 +334,15 @@ func run() int {
 		}
 	}
 	return 0
+}
+
+// simFabric is what the fault schedule drives on the simulator: the
+// network with its chaos controller, plus — in Byzantine mode — the liars
+// that byz:<node>:<mode> actions switch. Without -byz Liars is nil and byz
+// actions are no-ops, as on a nemesis cluster outside Byzantine mode.
+type simFabric struct {
+	*netsim.Net
+	core.Liars
 }
 
 // runNemesis executes one nemesis pass (internal/nemesis): a real TCP

@@ -1,8 +1,8 @@
 // byzantine: one replica of five actively lies — and WithByzantine(1), the
 // protocol's Byzantine mode, defeats every lying strategy the adversary
-// has. The liar is an honest replica on a chaos-wrapped endpoint: a
-// core.Liar installed as the endpoint's interceptor rewrites every reply
-// the replica sends, while the replica underneath keeps storing writes.
+// has. The liar is an honest replica whose replies a core.Liar, installed
+// as the node's interceptor on the simulator's chaos layer, rewrites,
+// while the replica underneath keeps storing writes.
 // The demo first shows the attack working: a fabricating
 // replica advertises an enormous timestamp and plain majority quorums
 // believe it. Then the same workload runs with validated reads against all
@@ -21,10 +21,8 @@ import (
 	"log"
 	"time"
 
-	"repro/internal/chaos"
 	"repro/internal/core"
 	"repro/internal/netsim"
-	"repro/internal/transport"
 	"repro/internal/types"
 )
 
@@ -79,15 +77,10 @@ func runReads(mode core.ByzMode, opts ...core.ClientOption) (int, error) {
 	const liar = 2
 	l := core.NewLiar(liar, 1)
 	l.SetMode(mode)
-	cn := chaos.New(1)
-	cn.SetInterceptor(liar, l.Intercept)
+	net.SetInterceptor(liar, l.Intercept)
 	for i := 0; i < n; i++ {
 		ids[i] = types.NodeID(i)
-		var ep transport.Endpoint = net.Node(ids[i])
-		if i == liar {
-			ep = cn.Wrap(ep)
-		}
-		r := core.NewReplica(ids[i], ep)
+		r := core.NewReplica(ids[i], net.Node(ids[i]))
 		r.Start()
 		stops = append(stops, r.Stop)
 	}

@@ -2,6 +2,7 @@ package abd
 
 import (
 	"context"
+	"errors"
 	"fmt"
 	"sync"
 	"testing"
@@ -84,5 +85,40 @@ func TestHistoriesUnderFaultSchedulesLinearizable(t *testing.T) {
 				t.Logf("schedule %q: checker budget exhausted on %d ops (inconclusive, not a failure)", script, len(ops))
 			}
 		})
+	}
+}
+
+// TestFaultsActionTakesEffectOnSimulator: the link-fault script action is
+// not a simulator no-op. faults:*:drop=1 loses every message, so a write
+// cannot assemble a quorum; faults:*:none restores the reliable channel
+// and liveness with it.
+func TestFaultsActionTakesEffectOnSimulator(t *testing.T) {
+	cluster, err := NewCluster(3, WithSeed(11))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer cluster.Close()
+	client := cluster.Client()
+	apply := func(script string) {
+		t.Helper()
+		sched, err := failure.Parse(script)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := sched.Run(context.Background(), cluster.Net()); err != nil {
+			t.Fatal(err)
+		}
+	}
+
+	apply("faults:*:drop=1@0ms")
+	ctx, cancel := context.WithTimeout(context.Background(), 200*time.Millisecond)
+	defer cancel()
+	if err := client.Write(ctx, "x", []byte("lost")); !errors.Is(err, ErrNoQuorum) {
+		t.Fatalf("write under faults:*:drop=1: want ErrNoQuorum, got %v", err)
+	}
+
+	apply("faults:*:none@0ms")
+	if err := client.Write(testCtx(t), "x", []byte("v")); err != nil {
+		t.Fatalf("write after faults:*:none: %v", err)
 	}
 }

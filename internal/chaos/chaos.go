@@ -1,23 +1,23 @@
-// Package chaos injects faults into a real transport the way
-// internal/netsim injects them into the simulated one: a Net controller
-// holds per-link fault configuration, and Wrap decorates any
-// transport.Endpoint so its outbound sends pass through the injector.
-// Because the wrapper sits above the substrate, the same replica and client
-// code that survives netsim's faults can be demonstrated to survive them
-// over real TCP sockets (internal/tcpnet) — the load-bearing check behind
-// the nemesis harness (internal/nemesis).
+// Package chaos is the repository's one fault injector. A Net controller
+// holds every departure from the paper's model — crashes, partitions,
+// per-link blocks, and per-link fault mixes (drop, duplicate, delay,
+// reorder, payload corruption, connection reset) — plus the semantic-fault
+// hook a Byzantine adversary installs (SetInterceptor); Wrap decorates any
+// transport.Endpoint so its outbound sends pass through the injector. The
+// wrapper sits above the substrate, so the same faults apply to the
+// simulated network (internal/netsim wraps every endpoint it hands out)
+// and to real TCP sockets (internal/tcpnet under the nemesis harness,
+// internal/nemesis).
 //
 // Faults are drawn from per-link PRNG streams seeded from the controller
 // seed and the link's endpoints, so a fixed seed and a fixed per-link send
-// sequence yield the same fault trace on every run (asserted by test). Six
-// fault kinds are supported per link: drop, duplicate, delay, reorder
-// (delay one message past its successors), payload corruption, and
-// connection reset (for substrates that expose PeerResetter, e.g. tcpnet).
+// sequence yield the same fault trace on every run (asserted by test).
+// Connection resets need a substrate that exposes PeerResetter (tcpnet);
+// on a connectionless substrate such as netsim a reset has nothing to tear
+// down and is a no-op.
 //
 // The controller implements failure.Fabric, so one fault schedule script
-// (internal/failure) drives either backend: crash/partition/block events
-// translate to message-level isolation here, and the chaos-only events
-// (faults, reset) are no-ops on the simulator.
+// (internal/failure) drives either substrate with the same meaning.
 package chaos
 
 import (
@@ -296,12 +296,21 @@ func (n *Net) ResetAll() {
 }
 
 // Crash isolates a node at the message level: everything to or from it is
-// dropped. On a real cluster this models a network-dead (not process-dead)
-// node; internal/nemesis overrides it with true process crash+restart.
+// dropped. On the simulator this is the paper's fail-stop crash; on a real
+// cluster it models a network-dead (not process-dead) node, and
+// internal/nemesis overrides it with true process crash+restart.
 func (n *Net) Crash(id types.NodeID) {
 	n.mu.Lock()
 	n.crashed[id] = true
 	n.mu.Unlock()
+}
+
+// Crashed reports whether a node is crashed (Crash without a later
+// Recover).
+func (n *Net) Crashed(id types.NodeID) bool {
+	n.mu.Lock()
+	defer n.mu.Unlock()
+	return n.crashed[id]
 }
 
 // Recover undoes Crash.
@@ -311,10 +320,12 @@ func (n *Net) Recover(id types.NodeID) {
 	n.mu.Unlock()
 }
 
-// Partition splits the nodes into groups; messages cross groups only if
-// both endpoints are in the same group. Nodes not mentioned in any group
-// are unaffected (unlike netsim, a wrapped cluster also carries client
-// endpoints that scripts usually do not enumerate). Call Heal to undo.
+// Partition splits the nodes into groups; a message is delivered only if
+// both endpoints are in the same group. Nodes named in no group form one
+// more implicit group: they still reach each other, but not any listed
+// node — so a script that partitions the replicas cuts off every client it
+// does not list. Partition() with no groups is no partition. Call Heal to
+// undo.
 func (n *Net) Partition(groups ...[]types.NodeID) {
 	n.mu.Lock()
 	n.part = make(map[types.NodeID]int)
@@ -422,7 +433,7 @@ func (n *Net) plan(from, to types.NodeID, payloadLen int) decision {
 		d.blocked = true
 	case n.blocked[l]:
 		d.blocked = true
-	case len(n.part) > 0 && n.part[from] != 0 && n.part[to] != 0 && n.part[from] != n.part[to]:
+	case n.part[from] != n.part[to]:
 		d.blocked = true
 	}
 	if d.blocked {

@@ -199,7 +199,13 @@ func TestCrashBlockPartitionIsolate(t *testing.T) {
 	if got := len(inner.sent()); got != 0 {
 		t.Fatal("send to crashed node delivered")
 	}
+	if !n.Crashed(1) || n.Crashed(0) {
+		t.Fatalf("Crashed(1)=%v Crashed(0)=%v, want true false", n.Crashed(1), n.Crashed(0))
+	}
 	n.Recover(1)
+	if n.Crashed(1) {
+		t.Fatal("Crashed(1) after Recover")
+	}
 	_ = ep.Send(1, []byte("x"))
 	if got := len(inner.sent()); got != 1 {
 		t.Fatal("send after recover not delivered")
@@ -217,14 +223,22 @@ func TestCrashBlockPartitionIsolate(t *testing.T) {
 	if got := len(inner.sent()); got != 1 {
 		t.Fatal("send across partition delivered")
 	}
-	// Nodes outside every group (e.g. clients) are unaffected.
+	// A node in no group (e.g. an unlisted client) cannot reach a listed
+	// node or be reached by one; unlisted nodes still reach each other.
 	_ = ep.Send(9, []byte("x"))
-	if got := len(inner.sent()); got != 2 {
-		t.Fatal("send to unpartitioned node blocked")
+	if got := len(inner.sent()); got != 1 {
+		t.Fatal("send from a listed node to an unlisted one delivered")
+	}
+	other := &fakeEndpoint{id: 8}
+	oep := n.Wrap(other)
+	_ = oep.Send(0, []byte("x"))
+	_ = oep.Send(9, []byte("x"))
+	if got := other.sent(); len(got) != 1 || got[0].to != 9 {
+		t.Fatalf("unlisted node 8 sends delivered: %+v, want only the one to 9", got)
 	}
 	n.Heal()
 	_ = ep.Send(1, []byte("x"))
-	if got := len(inner.sent()); got != 3 {
+	if got := len(inner.sent()); got != 2 {
 		t.Fatal("send after heal not delivered")
 	}
 }

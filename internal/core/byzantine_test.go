@@ -2,40 +2,28 @@ package core
 
 import (
 	"bytes"
+	"context"
 	"fmt"
 	"sync"
 	"testing"
+	"time"
 
-	"repro/internal/chaos"
+	"repro/internal/failure"
 	"repro/internal/netsim"
 	"repro/internal/quorum"
 	"repro/internal/timestamp"
-	"repro/internal/transport"
 	"repro/internal/types"
 )
 
 // newByzCluster is newTestCluster with one liar: replica liarIdx stays an
-// honest Replica underneath (it stores every write), but its endpoint is
-// chaos-wrapped and a Liar in mode rewrites every reply it sends.
+// honest Replica underneath (it stores every write), but a Liar in mode,
+// installed as its chaos interceptor, rewrites every reply it sends.
 func newByzCluster(t *testing.T, n, liarIdx int, mode ByzMode) *testCluster {
 	t.Helper()
-	c := &testCluster{t: t, net: netsim.New(netsim.Config{Seed: 60}), nextCli: 1000}
-	cn := chaos.New(60)
+	c := newTestCluster(t, n, netsim.Config{Seed: 60})
 	liar := NewLiar(types.NodeID(liarIdx), 1)
 	liar.SetMode(mode)
-	cn.SetInterceptor(types.NodeID(liarIdx), liar.Intercept)
-	for i := 0; i < n; i++ {
-		id := types.NodeID(i)
-		var ep transport.Endpoint = c.net.Node(id)
-		if i == liarIdx {
-			ep = cn.Wrap(ep)
-		}
-		r := NewReplica(id, ep)
-		r.Start()
-		c.replicas = append(c.replicas, r)
-		c.ids = append(c.ids, id)
-	}
-	t.Cleanup(c.close)
+	c.net.SetInterceptor(types.NodeID(liarIdx), liar.Intercept)
 	return c
 }
 
@@ -373,5 +361,55 @@ func TestMaskingValidate(t *testing.T) {
 	}
 	if m.MinIntersection() != 3 {
 		t.Fatalf("min intersection %d, want 3 (= 2f+1)", m.MinIntersection())
+	}
+}
+
+// TestLiarsFollowByzActions: byz:<node>:<mode> schedule actions switch an
+// InstallLiars liar on the simulator exactly as on the nemesis cluster —
+// the switched node's replies are rewritten on the wire, and off restores
+// honesty.
+func TestLiarsFollowByzActions(t *testing.T) {
+	c := newTestCluster(t, 5, netsim.Config{Seed: 61})
+	liars := InstallLiars(c.net.Net, c.ids, 61)
+	fabric := struct {
+		*netsim.Net
+		Liars
+	}{c.net, liars}
+	apply := func(script string) {
+		t.Helper()
+		sched, err := failure.Parse(script)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := sched.Run(context.Background(), fabric); err != nil {
+			t.Fatal(err)
+		}
+	}
+	r := c.client()
+	ctx := shortCtx(t)
+
+	apply("byz:0:fabricate@0ms")
+	if got := liars[0].Mode(); got != ByzFabricate {
+		t.Fatalf("liar 0 mode = %d after byz:0:fabricate", got)
+	}
+	mustRead(t, ctx, r, "x")
+	// The read broadcasts to all five, so replica 0 answers through its
+	// liar — possibly after the quorum of three completed the read.
+	deadline := time.Now().Add(time.Second)
+	for lies, _ := liars.Stats(); lies == 0; lies, _ = liars.Stats() {
+		if time.Now().After(deadline) {
+			t.Fatal("switched liar rewrote no reply")
+		}
+		time.Sleep(time.Millisecond)
+	}
+
+	apply("byz:0:off@0ms")
+	if got := liars[0].Mode(); got != 0 {
+		t.Fatalf("liar 0 mode = %d after byz:0:off", got)
+	}
+	before, _ := liars.Stats()
+	mustRead(t, ctx, r, "x")
+	if after, _ := liars.Stats(); after != before {
+		t.Fatalf("honest liars rewrote %d replies", after-before)
 	}
 }

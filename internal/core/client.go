@@ -48,12 +48,12 @@ type Client struct {
 	rrNext       atomic.Uint64 // round-robin cursor for partial fanout
 	byzF         int           // WithByzantine's f (0 = the paper's crash-fault client)
 
-	// Retransmission policy; see options.go. The default is adaptive: the
-	// interval tracks the client's own observed phase latencies.
-	rtPolicy   retransmitPolicy
-	retransmit time.Duration // fixed interval (retransmitFixed only)
-	adaptFloor time.Duration
-	adaptCeil  time.Duration
+	// Retransmission interval bounds; see retransmitInterval. The default
+	// is adaptive: the interval tracks the client's own observed phase
+	// latencies between the two. Equal bounds fix the interval, and 0
+	// turns retransmission off.
+	rtFloor time.Duration
+	rtCeil  time.Duration
 
 	// Single-writer state: the last sequence number (unbounded) or label
 	// (bounded) issued, per register.
@@ -127,9 +127,8 @@ func NewClient(id types.NodeID, ep transport.Endpoint, replicas []types.NodeID, 
 		rdRounds:     make(map[string]*opRound),
 		wrRounds:     make(map[string]*opRound),
 
-		rtPolicy:   retransmitAdaptive,
-		adaptFloor: DefaultRetransmitFloor,
-		adaptCeil:  DefaultRetransmitCeiling,
+		rtFloor: DefaultRetransmitFloor,
+		rtCeil:  DefaultRetransmitCeiling,
 	}
 	for i, rid := range c.replicas {
 		if _, dup := c.index[rid]; dup {
@@ -481,20 +480,17 @@ func (c *Client) phase(ctx context.Context, req message, pred func(quorum.Set) b
 }
 
 // retransmitInterval returns the rebroadcast period for a phase, or 0 for
-// no retransmission. Under the adaptive policy (the default) the interval
-// is derived from the client's own completed-phase latency histogram —
-// 3x the observed p99, clamped to [floor, ceiling] — so it sits safely
-// above the healthy round-trip time yet reacts within a fraction of a
-// second when a message is lost. Until enough phases have completed to
-// trust the histogram, the floor is used: a spurious retransmission is
-// harmless (all protocol messages are idempotent), a late one costs
-// liveness.
+// no retransmission. The interval is derived from the client's own
+// completed-phase latency histogram — 3x the observed p99, clamped to
+// [floor, ceiling] — so it sits safely above the healthy round-trip time
+// yet reacts within a fraction of a second when a message is lost. Until
+// enough phases have completed to trust the histogram, the floor is used:
+// a spurious retransmission is harmless (all protocol messages are
+// idempotent), a late one costs liveness. A fixed interval d is the clamp
+// with floor = ceiling = d, and retransmission off is d = 0.
 func (c *Client) retransmitInterval(kind Kind) time.Duration {
-	switch c.rtPolicy {
-	case retransmitOff:
-		return 0
-	case retransmitFixed:
-		return c.retransmit
+	if c.rtFloor == c.rtCeil {
+		return c.rtFloor // the clamp's answer; skip the histogram copy
 	}
 	var snap obs.HistSnapshot
 	if kind == KindReadQuery {
@@ -503,14 +499,14 @@ func (c *Client) retransmitInterval(kind Kind) time.Duration {
 		snap = c.lat.phaseUpdate.Snapshot()
 	}
 	if snap.Count < adaptiveMinSamples {
-		return c.adaptFloor
+		return c.rtFloor
 	}
 	d := 3 * snap.Quantile(0.99)
-	if d < c.adaptFloor {
-		d = c.adaptFloor
+	if d < c.rtFloor {
+		d = c.rtFloor
 	}
-	if d > c.adaptCeil {
-		d = c.adaptCeil
+	if d > c.rtCeil {
+		d = c.rtCeil
 	}
 	return d
 }

@@ -5,6 +5,7 @@ import (
 	"sync"
 	"sync/atomic"
 
+	"repro/internal/chaos"
 	"repro/internal/timestamp"
 	"repro/internal/types"
 )
@@ -37,10 +38,11 @@ const (
 // (WithByzantine) can reject it.
 //
 // Install the Intercept method as a chaos.Interceptor on the lying node's
-// outbound path (chaos.Net.SetInterceptor) and run an ordinary Replica on
-// the chaos.Net.Wrap-ped endpoint — over netsim or tcpnet alike. It is the
-// one Byzantine adversary: the core tests, experiments T6 and BY,
-// abd-sim -byz and the nemesis harness all build it this way. The replica
+// outbound path (SetInterceptor on the chaos controller that wraps its
+// endpoint — netsim's own, or the nemesis cluster's over tcpnet) and run an
+// ordinary Replica on that endpoint. It is the one Byzantine adversary: the
+// core tests, experiments T6 and BY, abd-sim -byz and the nemesis harness
+// all build it this way. The replica
 // underneath stays honest — it keeps storing writes and appending its
 // WAL — so clearing the mode instantly restores a correct, caught-up
 // replica: the faulty thing is the node's reporting, not its state, and
@@ -132,4 +134,42 @@ func (l *Liar) Intercept(to types.NodeID, payload []byte) ([]byte, bool) {
 	default:
 		return payload, true
 	}
+}
+
+// Liars is one Liar per replica, each installed as its node's chaos
+// interceptor and honest until switched. It implements
+// failure.ByzController, so byz:<node>:<mode> schedule actions mean the
+// same on every substrate: the nemesis TCP cluster and abd-sim's
+// simulated cluster both build their Byzantine mode on it.
+type Liars map[types.NodeID]*Liar
+
+// InstallLiars creates an honest Liar for every id and installs it on cn.
+// Node id's equivocation randomness is seeded with seed^(1000+id).
+func InstallLiars(cn *chaos.Net, ids []types.NodeID, seed int64) Liars {
+	ls := make(Liars, len(ids))
+	for _, id := range ids {
+		l := NewLiar(id, seed^int64(1000+id))
+		ls[id] = l
+		cn.SetInterceptor(id, l.Intercept)
+	}
+	return ls
+}
+
+// SetByzantine switches node's liar to mode (a ByzMode value; 0 restores
+// honesty). A no-op for a node without a liar, so schedules degrade
+// gracefully.
+func (ls Liars) SetByzantine(node types.NodeID, mode int) {
+	if l := ls[node]; l != nil {
+		l.SetMode(ByzMode(mode))
+	}
+}
+
+// Stats sums the liars' tallies: replies rewritten and replies suppressed.
+func (ls Liars) Stats() (lies, muted int64) {
+	for _, l := range ls {
+		a, b := l.Stats()
+		lies += a
+		muted += b
+	}
+	return lies, muted
 }

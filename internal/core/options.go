@@ -115,29 +115,18 @@ func WithWriteFanout(k int) ClientOption {
 	return func(c *Client) { c.writeFanout = k }
 }
 
-// Retransmission policies. The paper's model assumes reliable channels; on
-// lossy substrates (netsim with a drop probability, or TCP across
-// connection resets and partitions) phase retransmission is the standard
-// engineering step that restores the reliable-channel abstraction. All
-// protocol messages are idempotent — queries are read-only and updates are
-// adopt-if-newer — so retransmission never affects safety, only liveness
-// and message count.
-type retransmitPolicy int
-
-const (
-	// retransmitAdaptive derives the interval from observed phase
-	// latencies (the default; see Client.retransmitInterval).
-	retransmitAdaptive retransmitPolicy = iota
-	// retransmitFixed rebroadcasts at a configured constant interval.
-	retransmitFixed
-	// retransmitOff never rebroadcasts — the pure model semantics.
-	retransmitOff
-)
-
-// Bounds for the adaptive retransmission interval. The floor keeps a cold
-// or fast client from spamming duplicates; the ceiling bounds how long a
-// lost message can stall an operation once latencies have been inflated by
-// faults.
+// Retransmission. The paper's model assumes reliable channels; on lossy
+// substrates (chaos drops on netsim, or TCP across connection resets and
+// partitions) phase retransmission is the standard engineering step that
+// restores the reliable-channel abstraction. All protocol messages are
+// idempotent — queries are read-only and updates are adopt-if-newer — so
+// retransmission never affects safety, only liveness and message count.
+// There is one policy: an interval adapted from observed phase latencies
+// and clamped to [floor, ceiling] (see Client.retransmitInterval).
+//
+// The default bounds: the floor keeps a cold or fast client from spamming
+// duplicates; the ceiling bounds how long a lost message can stall an
+// operation once latencies have been inflated by faults.
 const (
 	DefaultRetransmitFloor   = 100 * time.Millisecond
 	DefaultRetransmitCeiling = 2 * time.Second
@@ -154,15 +143,10 @@ const (
 // and message-count experiments). Without this option the client defaults
 // to adaptive retransmission — see WithAdaptiveRetransmit.
 func WithRetransmit(interval time.Duration) ClientOption {
-	return func(c *Client) {
-		if interval <= 0 {
-			c.rtPolicy = retransmitOff
-			c.retransmit = 0
-			return
-		}
-		c.rtPolicy = retransmitFixed
-		c.retransmit = interval
+	if interval < 0 {
+		interval = 0
 	}
+	return func(c *Client) { c.rtFloor, c.rtCeil = interval, interval }
 }
 
 // WithAdaptiveRetransmit selects the adaptive retransmission policy with
@@ -176,18 +160,16 @@ func WithRetransmit(interval time.Duration) ClientOption {
 // or ceiling values keep their defaults; a ceiling below the floor is
 // raised to it.
 func WithAdaptiveRetransmit(floor, ceiling time.Duration) ClientOption {
-	return func(c *Client) {
-		c.rtPolicy = retransmitAdaptive
-		if floor > 0 {
-			c.adaptFloor = floor
-		}
-		if ceiling > 0 {
-			c.adaptCeil = ceiling
-		}
-		if c.adaptCeil < c.adaptFloor {
-			c.adaptCeil = c.adaptFloor
-		}
+	if floor <= 0 {
+		floor = DefaultRetransmitFloor
 	}
+	if ceiling <= 0 {
+		ceiling = DefaultRetransmitCeiling
+	}
+	if ceiling < floor {
+		ceiling = floor
+	}
+	return func(c *Client) { c.rtFloor, c.rtCeil = floor, ceiling }
 }
 
 // WithoutReadCoalescing disables the shared-round read path: every Read

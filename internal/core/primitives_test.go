@@ -97,7 +97,7 @@ func TestAccessors(t *testing.T) {
 		t.Fatalf("read %q", v)
 	}
 
-	st := c.replicas[0].Stats()
+	st := c.replicas[0].ReplicaMetrics()
 	if st.Updates == 0 || st.Queries == 0 {
 		t.Fatalf("replica stats empty: %+v", st)
 	}

@@ -10,6 +10,7 @@ import (
 	"repro/internal/core"
 	"repro/internal/history"
 	"repro/internal/lincheck"
+	"repro/internal/netsim"
 	"repro/internal/quorum"
 	"repro/internal/types"
 )
@@ -157,8 +158,9 @@ func runByzPass(o Options, name string, f int, attack bool, n, ops int) (byzPass
 	if attack {
 		mode = core.ByzFabricate
 	}
-	c := newLiarCluster(o.seed(), n, 2, mode)
+	c := newSimCluster(n, netsim.Config{Seed: o.seed()})
 	defer c.close()
+	c.lie(2, mode, o.seed())
 
 	copts := []core.ClientOption{core.WithByzantine(f)}
 	clients := make([]*core.Client, 3)

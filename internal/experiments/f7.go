@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"time"
 
+	"repro/internal/chaos"
 	"repro/internal/core"
 	"repro/internal/netsim"
 	"repro/internal/types"
@@ -63,8 +64,9 @@ func F7Ablations(o Options) (*Table, error) {
 }
 
 func runAblation(o Options, opts []core.ClientOption, drop float64, ops int, crashOne bool) (ok int, msgsPerOp float64, retransmits int64, err error) {
-	c := newSimCluster(5, netsim.Config{Seed: o.seed(), DropProb: drop})
+	c := newSimCluster(5, netsim.Config{Seed: o.seed()})
 	defer c.close()
+	c.net.SetDefaultFaults(chaos.Faults{Drop: drop})
 	cli, err := c.client(opts...)
 	if err != nil {
 		return 0, 0, 0, err
@@ -93,6 +95,8 @@ func runAblation(o Options, opts []core.ClientOption, drop float64, ops int, cra
 	}
 	settle()
 	m := cli.Metrics()
-	st := c.net.Stats()
-	return ok, float64(st.Sent) / float64(ops+1), m.Retransmits, nil
+	// Every message a node sent, lost ones included: the channel meters
+	// what reached it, the chaos controller what it discarded first.
+	sent := c.net.Stats().Sent + c.net.Net.Stats().Dropped
+	return ok, float64(sent) / float64(ops+1), m.Retransmits, nil
 }

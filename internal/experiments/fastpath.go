@@ -8,6 +8,7 @@ import (
 	"sync/atomic"
 	"time"
 
+	"repro/internal/chaos"
 	"repro/internal/core"
 	"repro/internal/netsim"
 	"repro/internal/types"
@@ -134,9 +135,9 @@ func runFastpathPass(o Options, opts []core.ClientOption, nodes, readers, nregs 
 		Seed:     o.seed(),
 		MinDelay: 200 * time.Microsecond,
 		MaxDelay: 600 * time.Microsecond,
-		DropProb: 0.03,
 	})
 	defer net.Close()
+	net.SetDefaultFaults(chaos.Faults{Drop: 0.03})
 
 	ids := make([]types.NodeID, 0, nodes)
 	reps := make([]*core.Replica, 0, nodes)

@@ -86,7 +86,7 @@ func T4BoundedLabels(o Options) (*Table, error) {
 		m := cli.Metrics()
 		var replicaViolations int64
 		for _, r := range c.replicas {
-			replicaViolations += r.Stats().Violations
+			replicaViolations += r.ReplicaMetrics().OrderViolations
 		}
 		cancel()
 		c.close()

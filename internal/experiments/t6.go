@@ -5,11 +5,9 @@ import (
 	"fmt"
 	"time"
 
-	"repro/internal/chaos"
 	"repro/internal/core"
 	"repro/internal/netsim"
 	"repro/internal/quorum"
-	"repro/internal/transport"
 	"repro/internal/types"
 )
 
@@ -64,50 +62,26 @@ func T6Byzantine(o Options) (*Table, error) {
 	return tbl, nil
 }
 
-// liarCluster is n netsim replicas (node ids 0..n-1), all honest
-// underneath. With a nonzero mode, replica liar's endpoint is chaos-wrapped
-// and a core.Liar in that mode rewrites every reply it sends; the replica
-// itself keeps storing writes. Mode 0 leaves every replica on the plain
-// netsim path, so BY's honest passes measure no interception cost. T6 and
-// BY build their clusters here.
-type liarCluster struct {
-	net  *netsim.Net
-	ids  []types.NodeID
-	reps []*core.Replica
-}
-
-func newLiarCluster(seed int64, n int, liar types.NodeID, mode core.ByzMode) *liarCluster {
-	c := &liarCluster{net: netsim.New(netsim.Config{Seed: seed})}
-	cn := chaos.New(seed)
-	l := core.NewLiar(liar, seed)
+// lie makes replica id of c Byzantine in mode: a core.Liar installed as
+// the node's chaos interceptor rewrites every reply it sends, while the
+// replica underneath stays honest and keeps storing writes. Mode 0 installs
+// nothing, so BY's honest passes run the plain path. T6 and BY build their
+// liars here.
+func (c *simCluster) lie(id types.NodeID, mode core.ByzMode, seed int64) {
+	if mode == 0 {
+		return
+	}
+	l := core.NewLiar(id, seed)
 	l.SetMode(mode)
-	cn.SetInterceptor(liar, l.Intercept)
-	for i := 0; i < n; i++ {
-		id := types.NodeID(i)
-		var ep transport.Endpoint = c.net.Node(id)
-		if id == liar && mode != 0 {
-			ep = cn.Wrap(ep)
-		}
-		r := core.NewReplica(id, ep)
-		r.Start()
-		c.ids = append(c.ids, id)
-		c.reps = append(c.reps, r)
-	}
-	return c
-}
-
-func (c *liarCluster) close() {
-	for _, r := range c.reps {
-		r.Stop()
-	}
-	c.net.Close()
+	c.net.SetInterceptor(id, l.Intercept)
 }
 
 // runByzantineTrial runs interleaved writes and reads against a cluster
 // with one Byzantine replica and counts corrupted reads.
 func runByzantineTrial(o Options, mode core.ByzMode, opts []core.ClientOption, reads int) (int, error) {
-	c := newLiarCluster(o.seed(), 5, 2, mode)
+	c := newSimCluster(5, netsim.Config{Seed: o.seed()})
 	defer c.close()
+	c.lie(2, mode, o.seed())
 
 	ctx, cancel := context.WithTimeout(context.Background(), 60*time.Second)
 	defer cancel()

@@ -1,10 +1,11 @@
 // Package failure drives fault injection from scripted schedules of
 // crashes, partitions, link blocks, delay spikes, link-level fault mixes,
-// and connection resets. One schedule drives either backend: the simulated
-// network (internal/netsim) or the real-network chaos layer
-// (internal/chaos) — both implement Fabric, and actions a backend does not
-// support are no-ops there. Schedules can be built programmatically or
-// parsed from the compact script syntax cmd/abd-sim accepts:
+// and connection resets. One schedule drives either substrate with the
+// same meaning: every fault comes from internal/chaos, which both the
+// simulated network (internal/netsim) and the nemesis TCP cluster
+// (internal/nemesis) embed, so both implement Fabric. Schedules can be
+// built programmatically or parsed from the compact script syntax
+// cmd/abd-sim accepts:
 //
 //	crash:2@100ms; partition:0,1|2,3,4@200ms; heal@400ms; delay:3.0@1s;
 //	block:0>2@1.5s; faults:*:drop=0.3,dup=0.1@2s; faults:0>1:delay=1ms..5ms@2s;
@@ -25,9 +26,13 @@ import (
 	"repro/internal/types"
 )
 
-// Fabric is the network substrate a schedule manipulates. Both
-// *netsim.Net and *chaos.Net implement it; internal/nemesis layers true
-// process crash/restart on top by overriding Crash and Recover.
+// Fabric is the network substrate a schedule manipulates: the chaos
+// controller's fault surface. *chaos.Net implements it, and so do
+// *netsim.Net and the nemesis cluster by embedding one; the nemesis
+// cluster overrides Crash and Recover with true process crash/restart, and
+// netsim's SetDelayScale also scales the simulated channel delay. Resets
+// act only on substrates with connections to tear down (tcpnet); on the
+// simulator they are no-ops.
 type Fabric interface {
 	Crash(types.NodeID)
 	Recover(types.NodeID)
@@ -36,27 +41,18 @@ type Fabric interface {
 	BlockLink(from, to types.NodeID)
 	UnblockLink(from, to types.NodeID)
 	SetDelayScale(float64)
-}
-
-// FaultInjector is the optional Fabric extension for link-level fault
-// mixes (implemented by *chaos.Net; the simulator ignores these actions).
-type FaultInjector interface {
 	SetDefaultFaults(chaos.Faults)
 	SetLinkFaults(from, to types.NodeID, f chaos.Faults)
-}
-
-// LinkResetter is the optional Fabric extension for connection resets
-// (implemented by *chaos.Net over resettable substrates like tcpnet).
-type LinkResetter interface {
 	ResetLink(from, to types.NodeID)
 	ResetAll()
 }
 
 // ByzController is the optional Fabric extension for semantic (Byzantine)
 // faults: SetByzantine makes node start lying with the given strategy, or
-// stop (mode 0). Implemented by the nemesis cluster, which installs a
-// protocol-rewriting interceptor on the node's outbound path; a no-op on
-// plain fabrics.
+// stop (mode 0). Implemented by core.Liars — protocol-rewriting chaos
+// interceptors on the replicas' outbound paths — which the nemesis cluster
+// and abd-sim's simulated cluster carry in Byzantine mode; byz actions are
+// no-ops on a fabric without liars.
 type ByzController interface {
 	SetByzantine(node types.NodeID, mode int)
 }
@@ -136,7 +132,7 @@ func (a Delay) String() string { return fmt.Sprintf("delay:%g", a.Factor) }
 
 // LinkFaults installs a chaos fault mix on one directed link, or — with
 // All set — as the default for every link. A zero Faults value clears the
-// target. No-op on fabrics without the FaultInjector extension (netsim).
+// target.
 type LinkFaults struct {
 	From, To types.NodeID
 	All      bool
@@ -145,15 +141,11 @@ type LinkFaults struct {
 
 // Apply implements Action.
 func (a LinkFaults) Apply(f Fabric) {
-	fi, ok := f.(FaultInjector)
-	if !ok {
-		return
-	}
 	if a.All {
-		fi.SetDefaultFaults(a.Faults)
+		f.SetDefaultFaults(a.Faults)
 		return
 	}
-	fi.SetLinkFaults(a.From, a.To, a.Faults)
+	f.SetLinkFaults(a.From, a.To, a.Faults)
 }
 
 func (a LinkFaults) String() string {
@@ -165,8 +157,8 @@ func (a LinkFaults) String() string {
 }
 
 // Reset tears down the live connection under one directed link, or every
-// connection with All set. No-op on fabrics without the LinkResetter
-// extension (netsim has no connections to reset).
+// connection with All set. No-op on a connectionless substrate (netsim has
+// no connections to reset).
 type Reset struct {
 	From, To types.NodeID
 	All      bool
@@ -174,15 +166,11 @@ type Reset struct {
 
 // Apply implements Action.
 func (a Reset) Apply(f Fabric) {
-	lr, ok := f.(LinkResetter)
-	if !ok {
-		return
-	}
 	if a.All {
-		lr.ResetAll()
+		f.ResetAll()
 		return
 	}
-	lr.ResetLink(a.From, a.To)
+	f.ResetLink(a.From, a.To)
 }
 
 func (a Reset) String() string {

@@ -101,27 +101,28 @@ func TestValidateRejectsOutOfRangeNodes(t *testing.T) {
 	}
 }
 
-// TestChaosActionsApplyToChaosFabric drives the chaos-only actions against
-// a chaos.Net and the simulator: the former must take effect, the latter
-// must ignore them without panicking.
+// TestChaosActionsApplyToChaosFabric drives the link-fault and reset
+// actions against a bare chaos.Net and against the simulator: the fault
+// mix must take effect on both, and a reset on the connectionless
+// simulator must be a harmless no-op.
 func TestChaosActionsApplyToChaosFabric(t *testing.T) {
-	cn := chaos.New(1)
 	sched, err := Parse("faults:*:drop=1@0ms; reset:*@0ms")
 	if err != nil {
 		t.Fatal(err)
 	}
 	ctx, cancel := context.WithTimeout(context.Background(), time.Second)
 	defer cancel()
+
+	cn := chaos.New(1)
 	if err := sched.Run(ctx, cn); err != nil {
 		t.Fatal(err)
 	}
-
 	// All-links drop=1 is now the default config: a send through a wrapped
 	// endpoint must be dropped.
-	net := netsim.New(netsim.Config{})
-	defer net.Close()
-	wrapped := cn.Wrap(net.Node(0))
-	net.Node(1)
+	carrier := netsim.New(netsim.Config{})
+	defer carrier.Close()
+	wrapped := cn.Wrap(carrier.Node(0))
+	carrier.Node(1)
 	if err := wrapped.Send(1, []byte("x")); err != nil {
 		t.Fatal(err)
 	}
@@ -129,9 +130,23 @@ func TestChaosActionsApplyToChaosFabric(t *testing.T) {
 		t.Errorf("chaos fabric did not apply faults action: %+v", st)
 	}
 
-	// The simulator ignores chaos-only actions.
+	net := netsim.New(netsim.Config{})
+	defer net.Close()
+	a := net.Node(0)
+	net.Node(1)
 	if err := sched.Run(ctx, net); err != nil {
 		t.Fatalf("chaos actions on netsim errored: %v", err)
+	}
+	if err := a.Send(1, []byte("x")); err != nil {
+		t.Fatal(err)
+	}
+	select {
+	case <-net.Node(1).Recv():
+		t.Fatal("netsim delivered under an applied faults:*:drop=1 action")
+	case <-time.After(50 * time.Millisecond):
+	}
+	if st := net.Net.Stats(); st.Dropped != 1 {
+		t.Errorf("netsim chaos dropped=%d, want 1", st.Dropped)
 	}
 }
 

@@ -193,12 +193,13 @@ type replicaProc struct {
 	ep  *tcpnet.Endpoint
 }
 
-// Cluster is an in-process tcpnet cluster under nemesis control. It
-// implements failure.Fabric (plus the FaultInjector and LinkResetter
-// extensions), overriding Crash/Recover with true process stop/restart.
+// Cluster is an in-process tcpnet cluster under nemesis control. Its
+// embedded chaos controller wraps every endpoint and supplies the message
+// faults, so the cluster implements failure.Fabric; Crash, Recover and
+// Crashed override the controller's with true process stop/restart.
 type Cluster struct {
+	*chaos.Net
 	cfg     Config
-	chaos   *chaos.Net
 	dir     string
 	ownsDir bool
 
@@ -207,8 +208,9 @@ type Cluster struct {
 	replicas map[types.NodeID]*replicaProc
 	// liars holds one chaos-layer core.Liar per replica in Byzantine mode
 	// (Config.Byzantine > 0), keyed by node so a liar survives its
-	// replica's crash/restart cycles. Nil otherwise.
-	liars map[types.NodeID]*core.Liar
+	// replica's crash/restart cycles. Nil otherwise; immutable after
+	// NewCluster.
+	liars core.Liars
 	// stats accumulates transport counters of endpoints that no longer
 	// exist (crashed replica generations).
 	stats tcpnet.Stats
@@ -267,8 +269,8 @@ func (c *Cluster) nodeTracer(id types.NodeID) obs.Tracer {
 func NewCluster(cfg Config) (*Cluster, error) {
 	cfg = cfg.withDefaults()
 	c := &Cluster{
+		Net:      chaos.New(cfg.Seed),
 		cfg:      cfg,
-		chaos:    chaos.New(cfg.Seed),
 		dir:      cfg.Dir,
 		addrs:    make(map[types.NodeID]string),
 		replicas: make(map[types.NodeID]*replicaProc),
@@ -296,17 +298,16 @@ func NewCluster(cfg Config) (*Cluster, error) {
 		// node id: it intercepts every generation of the replica's process,
 		// so crash/restart cycles and lying windows compose freely. All
 		// liars start honest; the schedule's failure.Byz actions flip them.
-		c.liars = make(map[types.NodeID]*core.Liar, cfg.N)
+		ids := make([]types.NodeID, cfg.N)
+		for i := range ids {
+			ids[i] = types.NodeID(i)
+		}
+		c.liars = core.InstallLiars(c.Net, ids, cfg.Seed)
 	}
 
 	for i := 0; i < cfg.Groups*cfg.N; i++ {
 		id := types.NodeID(i)
 		c.addrs[id] = "127.0.0.1:0" // pinned to the real port on first start
-		if c.liars != nil {
-			l := core.NewLiar(id, cfg.Seed^int64(1000+i))
-			c.liars[id] = l
-			c.chaos.SetInterceptor(id, l.Intercept)
-		}
 		if err := c.startReplica(id); err != nil {
 			c.Close()
 			return nil, err
@@ -346,7 +347,7 @@ func NewCluster(cfg Config) (*Cluster, error) {
 			if cfg.Byzantine > 0 {
 				copts = append(copts, core.WithByzantine(cfg.Byzantine))
 			}
-			cli, err := core.NewClient(id, c.chaos.Wrap(ep), ids, copts...)
+			cli, err := core.NewClient(id, c.Wrap(ep), ids, copts...)
 			if err != nil {
 				_ = ep.Close()
 				c.Close()
@@ -392,7 +393,7 @@ func (c *Cluster) startReplica(id types.NodeID) error {
 	}
 
 	wal := filepath.Join(c.dir, fmt.Sprintf("replica-%d.wal", id))
-	rep, err := core.NewPersistentReplica(id, c.chaos.Wrap(ep), wal,
+	rep, err := core.NewPersistentReplica(id, c.Wrap(ep), wal,
 		core.WithReplicaTracer(c.nodeTracer(id)))
 	if err != nil {
 		_ = ep.Close()
@@ -467,86 +468,27 @@ func (c *Cluster) RecoverAll() {
 	}
 }
 
-// Message-fault controls delegate to the chaos layer.
-
-// Partition splits the listed groups (see chaos.Net.Partition: nodes in no
-// group — typically clients — are unaffected).
-func (c *Cluster) Partition(groups ...[]types.NodeID) { c.chaos.Partition(groups...) }
-
-// Heal removes the partition.
-func (c *Cluster) Heal() { c.chaos.Heal() }
-
-// BlockLink blackholes the directed link.
-func (c *Cluster) BlockLink(from, to types.NodeID) { c.chaos.BlockLink(from, to) }
-
-// UnblockLink reopens the directed link.
-func (c *Cluster) UnblockLink(from, to types.NodeID) { c.chaos.UnblockLink(from, to) }
-
-// SetDelayScale scales every configured fault delay.
-func (c *Cluster) SetDelayScale(s float64) { c.chaos.SetDelayScale(s) }
-
-// SetDefaultFaults configures the all-links fault mix.
-func (c *Cluster) SetDefaultFaults(f chaos.Faults) { c.chaos.SetDefaultFaults(f) }
-
-// SetLinkFaults configures one link's fault mix.
-func (c *Cluster) SetLinkFaults(from, to types.NodeID, f chaos.Faults) {
-	c.chaos.SetLinkFaults(from, to, f)
-}
-
-// ResetLink tears down the from->to connection.
-func (c *Cluster) ResetLink(from, to types.NodeID) { c.chaos.ResetLink(from, to) }
-
-// ResetAll tears down every connection.
-func (c *Cluster) ResetAll() { c.chaos.ResetAll() }
-
 // SetByzantine switches replica node's liar to mode (a core.ByzMode
 // value; 0 restores honesty). A no-op outside Byzantine mode or for
 // unknown nodes, so schedules degrade gracefully.
-func (c *Cluster) SetByzantine(node types.NodeID, mode int) {
-	c.mu.Lock()
-	l := c.liars[node]
-	c.mu.Unlock()
-	if l != nil {
-		l.SetMode(core.ByzMode(mode))
-	}
-}
+func (c *Cluster) SetByzantine(node types.NodeID, mode int) { c.liars.SetByzantine(node, mode) }
 
 // ClearByzantine restores every liar to honesty (the Byzantine analogue
 // of Heal/ClearFaults, run before post-schedule verdicts).
 func (c *Cluster) ClearByzantine() {
-	c.mu.Lock()
-	liars := make([]*core.Liar, 0, len(c.liars))
 	for _, l := range c.liars {
-		liars = append(liars, l)
-	}
-	c.mu.Unlock()
-	for _, l := range liars {
 		l.SetMode(0)
 	}
 }
 
 // LiarStats sums the liars' tallies: replies rewritten and replies
 // suppressed. Zero outside Byzantine mode.
-func (c *Cluster) LiarStats() (lies, muted int64) {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	for _, l := range c.liars {
-		a, b := l.Stats()
-		lies += a
-		muted += b
-	}
-	return lies, muted
-}
+func (c *Cluster) LiarStats() (lies, muted int64) { return c.liars.Stats() }
 
 var (
 	_ failure.Fabric        = (*Cluster)(nil)
-	_ failure.FaultInjector = (*Cluster)(nil)
-	_ failure.LinkResetter  = (*Cluster)(nil)
 	_ failure.ByzController = (*Cluster)(nil)
 )
-
-// Chaos exposes the underlying chaos controller (fault stats, tracing).
-func (c *Cluster) Chaos() *chaos.Net { return c.chaos }
 
 // Spans returns the spans collected so far across every layer of the
 // cluster, plus how many were dropped at the collector's capacity.
@@ -637,12 +579,12 @@ func (c *Cluster) LagReport(limit, topRegs int) health.LagReport {
 	return out
 }
 
-// ReplicaStats sums the protocol-level replica counters across the live
+// ReplicaMetrics sums the protocol-level replica counters across the live
 // replica processes and merges their group-commit batch-size histograms.
 // Unlike TransportStats, crashed generations take their counters with them:
 // a restarted replica reports the new process's tallies only, which is
 // exactly what a crash-recovery test wants to observe.
-func (c *Cluster) ReplicaStats() (core.ReplicaMetrics, obs.HistSnapshot) {
+func (c *Cluster) ReplicaMetrics() (core.ReplicaMetrics, obs.HistSnapshot) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	var total core.ReplicaMetrics
@@ -1017,7 +959,7 @@ type Result struct {
 	// suppressed — the injected-adversary side of the ledger whose
 	// client-side counterpart is Client.ByzRejects/ByzConfirms. All zero
 	// outside Byzantine mode.
-	Byzantine  int
+	Byzantine   int
 	Lies, Muted int64
 	// Spans is every span collected during the run — client operations and
 	// phases, transport hops, replica handlers and fsyncs — and
@@ -1171,8 +1113,8 @@ func Run(ctx context.Context, cfg Config) (*Result, error) {
 
 	// Restore the cluster before teardown so Close sees live processes.
 	cl.RecoverAll()
-	cl.Chaos().ClearFaults()
-	cl.Chaos().Heal()
+	cl.ClearFaults()
+	cl.Heal()
 	cl.ClearByzantine()
 
 	if err := ctx.Err(); err != nil {
@@ -1183,7 +1125,7 @@ func Run(ctx context.Context, cfg Config) (*Result, error) {
 	// had their timeouts, so the span picture is complete. Snapshot before
 	// the checker runs, not after, to keep teardown-time spans out.
 	spans, spansDropped := cl.Spans()
-	repStats, batchSizes := cl.ReplicaStats()
+	repStats, batchSizes := cl.ReplicaMetrics()
 
 	lies, muted := cl.LiarStats()
 	ops := rec.Ops()
@@ -1197,7 +1139,7 @@ func Run(ctx context.Context, cfg Config) (*Result, error) {
 		Failed:     failed,
 		Schedule:   sched.String(),
 		Transport:  cl.TransportStats(),
-		Chaos:      cl.Chaos().Stats(),
+		Chaos:      cl.Net.Stats(),
 		Replica:    repStats,
 		BatchSizes: batchSizes,
 		Byzantine:  cfg.Byzantine,

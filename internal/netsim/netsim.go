@@ -1,10 +1,15 @@
-// Package netsim simulates the asynchronous message-passing system of the
-// paper: n processors, point-to-point channels that are reliable but deliver
-// with arbitrary (here: seeded-random, configurable) delay, and crash
-// failures. It adds the instrumentation the evaluation needs — exact message
-// counts per protocol kind — and the adversarial controls the robustness
-// experiments need: crashes, partitions, per-link blocks, delay spikes, and
-// probabilistic drops.
+// Package netsim simulates the paper's channel: n processors joined by
+// point-to-point channels that are reliable but deliver with arbitrary
+// (here: seeded-random, configurable) delay. It adds the instrumentation
+// the evaluation needs — exact message counts per protocol kind, bytes,
+// and realized delays.
+//
+// Every departure from that model comes from internal/chaos: a Net owns one
+// chaos.Net, seeded from Config.Seed, embeds it (so Crash, Partition,
+// BlockLink, SetDefaultFaults, SetInterceptor, ... are methods of Net), and
+// wraps every endpoint Node and Reattach hand out. The simulator itself
+// only delivers; the one loss it decides is a message still in flight to a
+// receiver that crashed before delivery.
 //
 // Delivery ordering is not FIFO unless delays are constant; the ABD protocol
 // does not require FIFO channels, and the tests exercise reordering.
@@ -16,6 +21,7 @@ import (
 	"sync"
 	"time"
 
+	"repro/internal/chaos"
 	"repro/internal/obs"
 	"repro/internal/transport"
 	"repro/internal/types"
@@ -23,31 +29,30 @@ import (
 )
 
 // Config controls the simulated network. The zero value is valid: zero
-// delays, no drops.
+// delays, no faults.
 type Config struct {
-	// Seed makes delay and drop decisions reproducible. Zero means seed 1.
+	// Seed makes delay decisions and the embedded chaos controller's fault
+	// draws reproducible. Zero means seed 1.
 	Seed int64
 	// MinDelay and MaxDelay bound the uniformly random one-way message
 	// delay. MaxDelay < MinDelay is treated as MaxDelay == MinDelay.
 	MinDelay time.Duration
 	MaxDelay time.Duration
-	// DropProb is the probability an individual message is lost. The
-	// paper's model has reliable links; this knob exists for stress tests
-	// and is 0 by default.
-	DropProb float64
-	// DupProb is the probability an individual message is delivered twice
-	// (at-least-once delivery). The protocol's messages are idempotent, so
-	// duplication must be harmless; tests verify that.
-	DupProb float64
 	// Tracer, when non-nil, receives a "net-send" span for every message
-	// carrying a trace context: its Dur is the realized send-to-delivery
-	// transit (the simulated delay plus scheduling slop), with Err set on
-	// messages lost to a crash, partition, block, or random drop. Untraced
-	// messages emit nothing.
+	// carrying a trace context that reaches the channel: its Dur is the
+	// realized send-to-delivery transit (the simulated delay plus
+	// scheduling slop), with Err set on messages lost to a receiver crash
+	// while in flight. Untraced messages emit nothing.
 	Tracer obs.Tracer
 }
 
-// Stats is a snapshot of network counters.
+// Stats is a snapshot of the channel's counters. They meter what reaches
+// the channel: a message the embedded chaos controller discards first
+// (crash, partition, block, drop) is counted in its chaos.Stats.Dropped
+// instead, and a chaos duplicate reaches the channel twice. Every loss is
+// counted in exactly one of the two places, so the messages nodes sent are
+// Sent plus the controller's Dropped. The controller's counters run from
+// its creation; ResetStats does not touch them.
 //
 // Counters are scoped to a stats epoch: ResetStats starts a new epoch, and
 // a message is accounted to the epoch in which it was *sent*. A message in
@@ -58,9 +63,7 @@ type Config struct {
 type Stats struct {
 	Sent      int64
 	Delivered int64
-	Dropped   int64 // includes losses to crash, partition, block, and DropProb
-	// Duplicated counts messages delivered twice (DupProb).
-	Duplicated int64
+	Dropped   int64 // in flight to a receiver that crashed before delivery
 	// ByKind counts sent messages by the first payload byte, which the
 	// protocol layer uses as its message-kind tag. This is how the message
 	// complexity experiments (T1) count round trips exactly.
@@ -75,22 +78,23 @@ type Stats struct {
 }
 
 // Net is a simulated network. All methods are safe for concurrent use.
+// The embedded chaos controller is the network's fault injector: its
+// methods (Crash, Crashed, Partition, BlockLink, SetDefaultFaults,
+// SetInterceptor, ...) act on every endpoint the network hands out, and
+// n.Net.Stats() returns its fault counters.
 type Net struct {
+	*chaos.Net
 	cfg Config
 
 	mu         sync.Mutex
 	rng        *rand.Rand
 	nodes      map[types.NodeID]*endpoint
-	crashed    map[types.NodeID]bool
-	blocked    map[link]bool
-	partition  map[types.NodeID]int // node -> group; empty map means no partition
-	delayScale float64              // multiplies the sampled delay; 1 by default
+	delayScale float64 // multiplies the sampled delay; 1 by default
 
 	epoch       uint64 // advanced by ResetStats; messages carry their send epoch
 	sent        int64
 	delivered   int64
 	dropped     int64
-	duplicated  int64
 	byKind      map[byte]int64
 	bytesByKind map[byte]int64
 	delay       *obs.Histogram // per-epoch; swapped out by ResetStats
@@ -98,8 +102,6 @@ type Net struct {
 	closed bool
 	wg     sync.WaitGroup
 }
-
-type link struct{ from, to types.NodeID }
 
 // New creates a simulated network.
 func New(cfg Config) *Net {
@@ -111,12 +113,10 @@ func New(cfg Config) *Net {
 		cfg.MaxDelay = cfg.MinDelay
 	}
 	return &Net{
+		Net:         chaos.New(seed),
 		cfg:         cfg,
 		rng:         rand.New(rand.NewSource(seed)),
 		nodes:       make(map[types.NodeID]*endpoint),
-		crashed:     make(map[types.NodeID]bool),
-		blocked:     make(map[link]bool),
-		partition:   make(map[types.NodeID]int),
 		delayScale:  1,
 		byKind:      make(map[byte]int64),
 		bytesByKind: make(map[byte]int64),
@@ -124,14 +124,21 @@ func New(cfg Config) *Net {
 	}
 }
 
-// Node attaches (or returns the existing) endpoint for id.
+// Node attaches (or returns the existing) endpoint for id, wrapped by the
+// network's chaos controller.
 func (n *Net) Node(id types.NodeID) transport.Endpoint {
 	n.mu.Lock()
 	defer n.mu.Unlock()
 	if ep, ok := n.nodes[id]; ok {
-		return ep
+		return ep.wrapped
 	}
+	return n.attachLocked(id).wrapped
+}
+
+// attachLocked installs a fresh endpoint for id; caller holds n.mu.
+func (n *Net) attachLocked(id types.NodeID) *endpoint {
 	ep := &endpoint{id: id, net: n, mbox: transport.NewMailbox()}
+	ep.wrapped = n.Wrap(ep)
 	n.nodes[id] = ep
 	return ep
 }
@@ -143,86 +150,19 @@ func (n *Net) Node(id types.NodeID) transport.Endpoint {
 func (n *Net) Reattach(id types.NodeID) transport.Endpoint {
 	n.mu.Lock()
 	old := n.nodes[id]
-	ep := &endpoint{id: id, net: n, mbox: transport.NewMailbox()}
-	n.nodes[id] = ep
+	ep := n.attachLocked(id)
 	n.mu.Unlock()
 	if old != nil {
 		_ = old.Close()
 	}
-	return ep
+	return ep.wrapped
 }
 
-// Crash makes a node fail-stop: all messages to and from it are dropped from
-// now on. Matches the paper's crash model — the node simply stops taking
-// steps as far as the rest of the system can tell.
-func (n *Net) Crash(id types.NodeID) {
-	n.mu.Lock()
-	defer n.mu.Unlock()
-	n.crashed[id] = true
-}
-
-// Crashed reports whether a node has been crashed.
-func (n *Net) Crashed(id types.NodeID) bool {
-	n.mu.Lock()
-	defer n.mu.Unlock()
-	return n.crashed[id]
-}
-
-// Recover clears a node's crashed flag. The ABD crash model has no recovery;
-// this exists so tests can build crash-recovery scenarios explicitly.
-func (n *Net) Recover(id types.NodeID) {
-	n.mu.Lock()
-	defer n.mu.Unlock()
-	delete(n.crashed, id)
-}
-
-// Partition splits the network into groups; messages cross groups only if
-// both endpoints are in the same group. Nodes not mentioned in any group are
-// isolated from everyone. Call Heal to undo.
-func (n *Net) Partition(groups ...[]types.NodeID) {
-	n.mu.Lock()
-	defer n.mu.Unlock()
-	n.partition = make(map[types.NodeID]int)
-	for g, members := range groups {
-		for _, id := range members {
-			n.partition[id] = g + 1
-		}
-	}
-	if len(groups) == 0 {
-		// Partition() with no groups isolates every attached node in its
-		// own singleton group.
-		g := 1
-		for id := range n.nodes {
-			n.partition[id] = g
-			g++
-		}
-	}
-}
-
-// Heal removes any partition.
-func (n *Net) Heal() {
-	n.mu.Lock()
-	defer n.mu.Unlock()
-	n.partition = make(map[types.NodeID]int)
-}
-
-// BlockLink drops all messages from one node to another (one direction).
-func (n *Net) BlockLink(from, to types.NodeID) {
-	n.mu.Lock()
-	defer n.mu.Unlock()
-	n.blocked[link{from, to}] = true
-}
-
-// UnblockLink re-enables a blocked link.
-func (n *Net) UnblockLink(from, to types.NodeID) {
-	n.mu.Lock()
-	defer n.mu.Unlock()
-	delete(n.blocked, link{from, to})
-}
-
-// SetDelayScale multiplies all sampled delays by s (s >= 0). Used by the
-// delay-spike fault action.
+// SetDelayScale multiplies every delay by s (s >= 0): the channel's sampled
+// delay and any delay the chaos controller injects, so a delay-spike action
+// means the same on the simulator as on a real network.
 func (n *Net) SetDelayScale(s float64) {
+	n.Net.SetDelayScale(s)
 	n.mu.Lock()
 	defer n.mu.Unlock()
 	if s < 0 {
@@ -244,7 +184,7 @@ func (n *Net) Stats() Stats {
 		bytesByKind[k] = v
 	}
 	return Stats{
-		Sent: n.sent, Delivered: n.delivered, Dropped: n.dropped, Duplicated: n.duplicated,
+		Sent: n.sent, Delivered: n.delivered, Dropped: n.dropped,
 		ByKind: byKind, BytesByKind: bytesByKind, Delay: n.delay.Snapshot(),
 	}
 }
@@ -259,7 +199,7 @@ func (n *Net) ResetStats() {
 	n.mu.Lock()
 	defer n.mu.Unlock()
 	n.epoch++
-	n.sent, n.delivered, n.dropped, n.duplicated = 0, 0, 0, 0
+	n.sent, n.delivered, n.dropped = 0, 0, 0
 	n.byKind = make(map[byte]int64)
 	n.bytesByKind = make(map[byte]int64)
 	n.delay = new(obs.Histogram)
@@ -270,7 +210,9 @@ func (n *Net) ResetStats() {
 // (and after) Drain runs; it only flushes what was in the air when each
 // delivery timer fires. Teardown paths call it between stopping the senders
 // and closing the receivers, so no delayed delivery races an endpoint's
-// close (the "send on closed endpoint" noise under -race).
+// close (the "send on closed endpoint" noise under -race). A message the
+// chaos controller holds back (delay or reorder faults) joins the channel
+// only when its timer fires; one that fires after Close is discarded.
 func (n *Net) Drain() { n.wg.Wait() }
 
 // Close shuts down the network and all endpoints, waiting for in-flight
@@ -294,8 +236,9 @@ func (n *Net) Close() {
 	}
 }
 
-// send implements the one-way channel: sample a delay, then deliver unless
-// the message is lost to a crash, partition, block, or random drop.
+// send implements the one-way channel: meter the message, sample a delay,
+// then deliver unless the receiver has crashed by then. The endpoint's
+// chaos wrapper has already decided every injected fault.
 func (n *Net) send(from, to types.NodeID, payload []byte) error {
 	n.mu.Lock()
 	if n.closed {
@@ -333,48 +276,12 @@ func (n *Net) send(from, to types.NodeID, payload []byte) error {
 		}
 	}
 
-	drop := false
-	switch {
-	case n.crashed[from] || n.crashed[to]:
-		drop = true
-	case n.blocked[link{from, to}]:
-		drop = true
-	case len(n.partition) > 0 && n.partition[from] != n.partition[to]:
-		drop = true
-	case n.cfg.DropProb > 0 && n.rng.Float64() < n.cfg.DropProb:
-		drop = true
-	}
-	if drop {
-		n.dropped += int64(len(members))
-		n.mu.Unlock()
-		if n.cfg.Tracer != nil {
-			for _, m := range members {
-				if trace, parentSpan, ok := wire.PeekTrace(m); ok {
-					n.cfg.Tracer.Emit(obs.Span{
-						Trace: trace, ID: obs.NextID(), Parent: parentSpan,
-						Kind: "net-send", Node: int64(from), Peer: int64(to),
-						Start: time.Now(), Err: "dropped",
-					})
-				}
-			}
-		}
-		return nil
-	}
-
-	copies := 1
-	if n.cfg.DupProb > 0 && n.rng.Float64() < n.cfg.DupProb {
-		copies = 2
-		n.duplicated++
-	}
-	delays := make([]time.Duration, copies)
-	for i := range delays {
-		delays[i] = n.sampleDelayLocked()
-	}
+	delay := n.sampleDelayLocked()
 	// Pin the message to this epoch's accounting: deliveries racing a
 	// ResetStats record into this (old) histogram and are not counted in
 	// the new epoch's counters.
 	epoch, delayHist := n.epoch, n.delay
-	n.wg.Add(copies * len(members))
+	n.wg.Add(len(members))
 	n.mu.Unlock()
 
 	sentAt := time.Now()
@@ -400,11 +307,9 @@ func (n *Net) send(from, to types.NodeID, payload []byte) error {
 			n.deliver(dst, to, msgs[i], epoch, delayHist, sentAt, emits[i])
 		}
 	}
-	for _, delay := range delays {
-		if delay <= 0 {
-			deliverAll()
-			continue
-		}
+	if delay <= 0 {
+		deliverAll()
+	} else {
 		time.AfterFunc(delay, deliverAll)
 	}
 	return nil
@@ -412,8 +317,9 @@ func (n *Net) send(from, to types.NodeID, payload []byte) error {
 
 func (n *Net) deliver(dst *endpoint, to types.NodeID, msg transport.Message, epoch uint64, delayHist *obs.Histogram, sentAt time.Time, emit func(string)) {
 	defer n.wg.Done()
+	crashed := n.Crashed(to)
 	n.mu.Lock()
-	if n.closed || n.crashed[to] {
+	if n.closed || crashed {
 		if epoch == n.epoch {
 			n.dropped++
 		}
@@ -439,11 +345,13 @@ func (n *Net) sampleDelayLocked() time.Duration {
 	return time.Duration(float64(d) * n.delayScale)
 }
 
-// endpoint is a node's attachment to the simulated network.
+// endpoint is a node's attachment to the simulated network; wrapped is
+// the chaos-wrapped view of it that nodes send through.
 type endpoint struct {
-	id   types.NodeID
-	net  *Net
-	mbox *transport.Mailbox
+	id      types.NodeID
+	net     *Net
+	mbox    *transport.Mailbox
+	wrapped *chaos.Endpoint
 
 	mu     sync.Mutex
 	closed bool

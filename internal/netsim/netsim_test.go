@@ -5,6 +5,7 @@ import (
 	"testing"
 	"time"
 
+	"repro/internal/chaos"
 	"repro/internal/types"
 	"repro/internal/wire"
 )
@@ -65,9 +66,12 @@ func TestCrashDropsBothDirections(t *testing.T) {
 	if _, _, ok := waitMsg(t, n, 1, 50*time.Millisecond); ok {
 		t.Fatal("message from crashed node delivered")
 	}
-	st := n.Stats()
-	if st.Dropped != 2 {
-		t.Fatalf("dropped=%d, want 2", st.Dropped)
+	// Both losses are the chaos controller's, counted there and only there.
+	if st := n.Net.Stats(); st.Dropped != 2 {
+		t.Fatalf("chaos dropped=%d, want 2", st.Dropped)
+	}
+	if st := n.Stats(); st.Sent != 0 || st.Dropped != 0 {
+		t.Fatalf("channel saw crashed traffic: sent=%d dropped=%d", st.Sent, st.Dropped)
 	}
 	if !n.Crashed(3) {
 		t.Fatal("Crashed(3) = false")
@@ -86,100 +90,6 @@ func TestRecover(t *testing.T) {
 	}
 	if _, _, ok := waitMsg(t, n, 2, time.Second); !ok {
 		t.Fatal("no delivery after recover")
-	}
-}
-
-func TestPartitionAndHeal(t *testing.T) {
-	n := New(Config{})
-	defer n.Close()
-	a := n.Node(1)
-	n.Node(2)
-	n.Node(3)
-
-	n.Partition([]types.NodeID{1, 2}, []types.NodeID{3})
-
-	if err := a.Send(3, []byte("cross")); err != nil {
-		t.Fatal(err)
-	}
-	if _, _, ok := waitMsg(t, n, 3, 50*time.Millisecond); ok {
-		t.Fatal("message crossed partition")
-	}
-	if err := a.Send(2, []byte("same side")); err != nil {
-		t.Fatal(err)
-	}
-	if _, _, ok := waitMsg(t, n, 2, time.Second); !ok {
-		t.Fatal("message within partition side not delivered")
-	}
-
-	n.Heal()
-	if err := a.Send(3, []byte("healed")); err != nil {
-		t.Fatal(err)
-	}
-	if _, _, ok := waitMsg(t, n, 3, time.Second); !ok {
-		t.Fatal("message not delivered after heal")
-	}
-}
-
-func TestEmptyPartitionIsolatesAll(t *testing.T) {
-	n := New(Config{})
-	defer n.Close()
-	a := n.Node(1)
-	n.Node(2)
-	n.Partition()
-	if err := a.Send(2, []byte("x")); err != nil {
-		t.Fatal(err)
-	}
-	if _, _, ok := waitMsg(t, n, 2, 50*time.Millisecond); ok {
-		t.Fatal("message delivered under total partition")
-	}
-}
-
-func TestBlockLinkIsDirectional(t *testing.T) {
-	n := New(Config{})
-	defer n.Close()
-	a, b := n.Node(1), n.Node(2)
-	n.BlockLink(1, 2)
-
-	if err := a.Send(2, []byte("blocked")); err != nil {
-		t.Fatal(err)
-	}
-	if _, _, ok := waitMsg(t, n, 2, 50*time.Millisecond); ok {
-		t.Fatal("blocked direction delivered")
-	}
-	if err := b.Send(1, []byte("reverse")); err != nil {
-		t.Fatal(err)
-	}
-	if _, _, ok := waitMsg(t, n, 1, time.Second); !ok {
-		t.Fatal("reverse direction should deliver")
-	}
-
-	n.UnblockLink(1, 2)
-	if err := a.Send(2, []byte("open")); err != nil {
-		t.Fatal(err)
-	}
-	if _, _, ok := waitMsg(t, n, 2, time.Second); !ok {
-		t.Fatal("unblocked link should deliver")
-	}
-}
-
-func TestDropProbLosesRoughlyExpectedFraction(t *testing.T) {
-	n := New(Config{Seed: 42, DropProb: 0.5})
-	defer n.Close()
-	a := n.Node(1)
-	n.Node(2)
-
-	const total = 2000
-	for i := 0; i < total; i++ {
-		if err := a.Send(2, []byte{1}); err != nil {
-			t.Fatal(err)
-		}
-	}
-	st := n.Stats()
-	if st.Sent != total {
-		t.Fatalf("sent=%d", st.Sent)
-	}
-	if st.Dropped < total/3 || st.Dropped > total*2/3 {
-		t.Fatalf("dropped=%d out of %d, want near half", st.Dropped, total)
 	}
 }
 
@@ -270,22 +180,6 @@ func TestNetCloseIdempotentAndStopsSends(t *testing.T) {
 	}
 }
 
-func TestSameSeedSameDrops(t *testing.T) {
-	run := func() int64 {
-		n := New(Config{Seed: 99, DropProb: 0.3})
-		defer n.Close()
-		a := n.Node(1)
-		n.Node(2)
-		for i := 0; i < 500; i++ {
-			_ = a.Send(2, []byte{1})
-		}
-		return n.Stats().Dropped
-	}
-	if d1, d2 := run(), run(); d1 != d2 {
-		t.Fatalf("same seed produced different drop counts: %d vs %d", d1, d2)
-	}
-}
-
 func TestReattachReplacesEndpoint(t *testing.T) {
 	n := New(Config{})
 	defer n.Close()
@@ -308,10 +202,11 @@ func TestReattachReplacesEndpoint(t *testing.T) {
 }
 
 func TestDupProbDeliversTwice(t *testing.T) {
-	n := New(Config{Seed: 5, DupProb: 1.0})
+	n := New(Config{Seed: 5})
 	defer n.Close()
 	a := n.Node(1)
 	n.Node(2)
+	n.SetDefaultFaults(chaos.Faults{Dup: 1})
 
 	if err := a.Send(2, []byte("dup")); err != nil {
 		t.Fatal(err)
@@ -321,8 +216,10 @@ func TestDupProbDeliversTwice(t *testing.T) {
 			t.Fatalf("delivery %d missing", i)
 		}
 	}
-	st := n.Stats()
-	if st.Duplicated != 1 || st.Delivered != 2 {
+	if st := n.Net.Stats(); st.Duplicated != 1 {
+		t.Fatalf("chaos stats %+v", st)
+	}
+	if st := n.Stats(); st.Sent != 2 || st.Delivered != 2 {
 		t.Fatalf("stats %+v", st)
 	}
 }
@@ -451,13 +348,14 @@ func TestBatchFrameDeliversMembers(t *testing.T) {
 	}
 }
 
-// TestBatchFrameSharesFate: a crash drops a whole batch, counted per member.
+// TestBatchFrameSharesFate: a receiver crash while a batch is in flight
+// drops the whole batch at delivery, counted per member — the one loss the
+// channel itself decides.
 func TestBatchFrameSharesFate(t *testing.T) {
-	n := New(Config{})
+	n := New(Config{MinDelay: 20 * time.Millisecond, MaxDelay: 20 * time.Millisecond})
 	defer n.Close()
 	a := n.Node(1)
 	n.Node(2)
-	n.Crash(2)
 
 	frame := wire.AppendBatch(nil, [][]byte{
 		wire.Seal([]byte{0x01, 'a'}, 0, 0),
@@ -467,7 +365,35 @@ func TestBatchFrameSharesFate(t *testing.T) {
 	if err := a.Send(2, frame); err != nil {
 		t.Fatal(err)
 	}
+	n.Crash(2) // after the send: the frame is in flight
+	n.Drain()
+	if _, _, ok := waitMsg(t, n, 2, 20*time.Millisecond); ok {
+		t.Fatal("member delivered to a receiver that crashed in flight")
+	}
 	if st := n.Stats(); st.Dropped != 3 || st.Sent != 3 {
 		t.Errorf("sent/dropped = %d/%d, want 3/3", st.Sent, st.Dropped)
+	}
+}
+
+// TestDelayScaleScalesInjectedDelay: SetDelayScale reaches the chaos
+// controller's injected delay too, so a delay spike (or its removal) means
+// the same on the simulator as on a real network.
+func TestDelayScaleScalesInjectedDelay(t *testing.T) {
+	n := New(Config{})
+	defer n.Close()
+	a := n.Node(1)
+	n.Node(2)
+	n.SetDefaultFaults(chaos.Faults{DelayMin: 50 * time.Millisecond, DelayMax: 60 * time.Millisecond})
+	n.SetDelayScale(0)
+
+	start := time.Now()
+	if err := a.Send(2, []byte("fast")); err != nil {
+		t.Fatal(err)
+	}
+	if _, _, ok := waitMsg(t, n, 2, time.Second); !ok {
+		t.Fatal("no delivery")
+	}
+	if elapsed := time.Since(start); elapsed > 40*time.Millisecond {
+		t.Fatalf("delay scale 0 left the injected delay in place: %v", elapsed)
 	}
 }

@@ -188,6 +188,10 @@ func TestStoreMergesMetricsAndLatency(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
+	// Quiesce before comparing snapshots: Close waits for every group
+	// client's reply loop, so a straggler reply to the last operation
+	// cannot bump a counter between the two snapshots compared below.
+	st.Close()
 
 	m := st.Metrics()
 	if m.Reads != n || m.Writes != n {

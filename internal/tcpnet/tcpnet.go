@@ -149,6 +149,9 @@ type Endpoint struct {
 
 	mu    sync.Mutex
 	peers map[types.NodeID]*peerState
+	// inbound holds every accepted connection whose read loop is running,
+	// registered as a peer's connection or not, so Close can end them all.
+	inbound map[net.Conn]struct{}
 
 	closed  atomic.Bool
 	closeCh chan struct{}
@@ -301,6 +304,7 @@ func Listen(cfg Config) (*Endpoint, error) {
 		cfg:     cfg,
 		mbox:    transport.NewMailbox(),
 		peers:   make(map[types.NodeID]*peerState),
+		inbound: make(map[net.Conn]struct{}),
 		closeCh: make(chan struct{}),
 	}
 	if cfg.ListenAddr != "" {
@@ -680,7 +684,15 @@ func (e *Endpoint) acceptLoop() {
 			return // listener closed
 		}
 		e.accepts.Add(1)
+		e.mu.Lock()
+		if e.closed.Load() {
+			e.mu.Unlock()
+			_ = conn.Close()
+			return
+		}
+		e.inbound[conn] = struct{}{}
 		e.wg.Add(1)
+		e.mu.Unlock()
 		go e.readLoop(conn, -1)
 	}
 }
@@ -693,11 +705,16 @@ func (e *Endpoint) readLoop(conn net.Conn, peerHint types.NodeID) {
 	defer e.wg.Done()
 	registered := peerHint
 	defer func() {
+		e.mu.Lock()
+		if peerHint < 0 {
+			delete(e.inbound, conn)
+		}
 		if registered >= 0 {
-			e.dropConn(registered, conn)
+			e.dropConnLocked(registered, conn)
 		} else {
 			_ = conn.Close()
 		}
+		e.mu.Unlock()
 	}()
 
 	var header [8]byte
@@ -770,6 +787,12 @@ func (e *Endpoint) Close() error {
 			_ = ps.conn.Close()
 			ps.conn = nil
 		}
+	}
+	// An accepted connection the peer table does not hold (its first frame
+	// raced this Close, or the peer already had a connection) would keep
+	// its read loop blocked until the remote side hangs up.
+	for conn := range e.inbound {
+		_ = conn.Close()
 	}
 	e.mu.Unlock()
 	e.wg.Wait()

@@ -580,3 +580,38 @@ func TestEndpointStats(t *testing.T) {
 		}
 	}
 }
+
+// TestCloseEndsUnregisteredInboundConn: an accepted connection that is not
+// (yet) any peer's registered connection — here, one whose first frame
+// never arrives — must not keep Close waiting on its read loop; otherwise
+// a replica stopped while a client's first frame races the shutdown hangs
+// until the client hangs up (TestABDOverTCP's minority crash).
+func TestCloseEndsUnregisteredInboundConn(t *testing.T) {
+	server, err := Listen(Config{ID: 1, ListenAddr: "127.0.0.1:0"})
+	if err != nil {
+		t.Fatal(err)
+	}
+	raw, err := net.Dial("tcp", server.Addr())
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer raw.Close()
+	deadline := time.Now().Add(5 * time.Second)
+	for server.Stats().Accepts == 0 {
+		if time.Now().After(deadline) {
+			t.Fatal("connection never accepted")
+		}
+		time.Sleep(time.Millisecond)
+	}
+
+	done := make(chan struct{})
+	go func() {
+		_ = server.Close()
+		close(done)
+	}()
+	select {
+	case <-done:
+	case <-time.After(5 * time.Second):
+		t.Fatal("Close blocked on an unregistered inbound connection")
+	}
+}
